@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -85,7 +86,7 @@ struct PreparedStencil::State {
   const KernelInfo* kernel = nullptr;
   int halo = 0;
   ExecutionPlan plan;
-  long nx = 0, ny = 1, nz = 1;
+  long ext[3] = {0, 1, 1};  // prepared extent per axis, x first
   int tsteps = 0;
   Layout preferred = Layout::Natural;  // kernel's layout at this radius
   Layout accept = Layout::Natural;     // resident layout run() accepts
@@ -104,9 +105,9 @@ const StencilSpec& PreparedStencil::spec() const { return st_->spec; }
 const KernelInfo& PreparedStencil::kernel() const { return *st_->kernel; }
 int PreparedStencil::halo() const { return st_->halo; }
 const ExecutionPlan& PreparedStencil::plan() const { return st_->plan; }
-long PreparedStencil::nx() const { return st_->nx; }
-long PreparedStencil::ny() const { return st_->ny; }
-long PreparedStencil::nz() const { return st_->nz; }
+long PreparedStencil::nx() const { return st_->ext[0]; }
+long PreparedStencil::ny() const { return st_->ext[1]; }
+long PreparedStencil::nz() const { return st_->ext[2]; }
 int PreparedStencil::tsteps() const { return st_->tsteps; }
 Layout PreparedStencil::preferred_layout() const { return st_->preferred; }
 Layout PreparedStencil::resident_layout() const { return st_->accept; }
@@ -131,19 +132,37 @@ bool aligned64(const double* p) {
                               which + "' " + why);
 }
 
+// The prepared extent of `axis` (0 = x).
+long prepared_extent(const PreparedStencil& ps, int axis) {
+  return axis == 0 ? ps.nx() : axis == 1 ? ps.ny() : ps.nz();
+}
+
+// Throws unless `ps` holds prepared state — for a D-dimensional stencil
+// when `check_dims` is set.
+void require_prepared(const PreparedStencil& ps, int dims, const char* fn,
+                      bool check_dims = true) {
+  if (!ps.valid())
+    throw std::invalid_argument(std::string("PreparedStencil::") + fn +
+                                " on an empty handle");
+  if (check_dims && ps.spec().dims != dims)
+    throw std::invalid_argument(std::to_string(dims) + "-D " + fn +
+                                "() on a stencil prepared for " +
+                                std::to_string(ps.spec().dims) + "-D");
+}
+
 // `accept` is the resident layout this preparation admits beyond Natural
 // (ExecOptions::layout): Natural-tagged views are always valid (the kernel
 // transforms in/out per call), accept-tagged views execute resident —
 // provided their recorded layout width matches the prepared kernel's (the
 // transforms permute differently per SIMD width, so a W=4-resident buffer
 // handed to a W=8 kernel would be silently misread, never detectably).
-void check_common(const char* which, bool valid, Layout layout,
-                  int layout_width, int halo, int need_halo,
-                  const double* data, Layout accept, int want_width) {
-  if (!valid) bad_view(which, "is empty (default-constructed)");
-  if (layout != Layout::Natural && layout != accept)
+template <int D>
+void check_common(const char* which, const FieldView<D>& v, int need_halo,
+                  Layout accept, int want_width) {
+  if (!v.valid()) bad_view(which, "is empty (default-constructed)");
+  if (v.layout() != Layout::Natural && v.layout() != accept)
     bad_view(which,
-             std::string("is tagged ") + layout_name(layout) +
+             std::string("is tagged ") + layout_name(v.layout()) +
                  "; this preparation accepts " +
                  (accept == Layout::Natural
                       ? std::string("only natural-layout views (prepare with "
@@ -152,22 +171,22 @@ void check_common(const char* which, bool valid, Layout layout,
                                     "execution)")
                       : std::string("natural or ") + layout_name(accept) +
                             " views (transform via to_resident_layout)"));
-  if (layout != Layout::Natural && layout_width != want_width) {
+  if (v.layout() != Layout::Natural && v.layout_width() != want_width) {
     std::ostringstream os;
-    os << "is tagged " << layout_name(layout) << " for SIMD width "
-       << layout_width << " but the prepared kernel reads width "
+    os << "is tagged " << layout_name(v.layout()) << " for SIMD width "
+       << v.layout_width() << " but the prepared kernel reads width "
        << want_width
        << "; transform via to_resident_layout on this handle (hand-tagged "
           "views must record the width: with_layout(layout, width))";
     bad_view(which, os.str());
   }
-  if (halo < need_halo) {
+  if (v.halo() < need_halo) {
     std::ostringstream os;
-    os << "has halo " << halo << " but the prepared kernel requires >= "
+    os << "has halo " << v.halo() << " but the prepared kernel requires >= "
        << need_halo;
     bad_view(which, os.str());
   }
-  if (!aligned64(data))
+  if (!aligned64(v.data()))
     bad_view(which, "interior is not 64-byte aligned (allocate via Grid or "
                     "an aligned allocator)");
 }
@@ -181,98 +200,94 @@ void check_same_layout(Layout a, Layout b) {
                       "; ping-pong buffers must share one layout");
 }
 
-// Addressable span of a view, as [lo, hi) byte-order addresses. Pointer
-// order across distinct allocations is compared via uintptr_t, which every
-// supported platform orders consistently.
+// Addressable span of a view, as [lo, hi) byte-order addresses: from the
+// element at index -halo on every axis to the one past n + halo - 1.
+// Pointer order across distinct allocations is compared via uintptr_t,
+// which every supported platform orders consistently.
 struct Span {
   std::uintptr_t lo, hi;
 };
 
-Span span_of(const FieldView1D& v) {
-  const double* lo = v.data() - v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(v.data() + v.n() + v.halo())};
+template <int D>
+Span span_of(const FieldView<D>& v) {
+  const int h = v.halo();
+  std::ptrdiff_t lo = -h, hi = v.nx() + h;
+  for (int ax = 1; ax < D; ++ax) {
+    lo -= h * v.axis_stride(ax);
+    hi += (v.extent(ax) + h - 1) * v.axis_stride(ax);
+  }
+  return {reinterpret_cast<std::uintptr_t>(v.data() + lo),
+          reinterpret_cast<std::uintptr_t>(v.data() + hi)};
 }
 
-Span span_of(const FieldView2D& v) {
-  const double* lo = v.row(-v.halo()) - v.halo();
-  const double* hi = v.row(v.ny() + v.halo() - 1) + v.nx() + v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(hi)};
-}
-
-Span span_of(const FieldView3D& v) {
-  const double* lo = v.row(-v.halo(), -v.halo()) - v.halo();
-  const double* hi = v.row(v.nz() + v.halo() - 1, v.ny() + v.halo() - 1) +
-                     v.nx() + v.halo();
-  return {reinterpret_cast<std::uintptr_t>(lo),
-          reinterpret_cast<std::uintptr_t>(hi)};
-}
-
-template <class View>
-void check_disjoint(const char* which, const View& v, const char* other_name,
-                    const View& other) {
+template <int D>
+void check_disjoint(const char* which, const FieldView<D>& v,
+                    const char* other_name, const FieldView<D>& other) {
   const Span a = span_of(v), b = span_of(other);
   if (a.lo < b.hi && b.lo < a.hi)
     bad_view(which, std::string("overlaps view '") + other_name +
                         "'; executors need disjoint buffers");
 }
 
-void check_extent(const char* which, const char* axis, long have, long want) {
-  if (have != want) {
-    std::ostringstream os;
-    os << "has " << axis << " = " << have << " but was prepared for "
-       << want;
-    bad_view(which, os.str());
-  }
+// Extents against the prepared ones, x first; a 1-D extent is called n.
+template <int D>
+void check_extents(const char* which, const FieldView<D>& v,
+                   const PreparedStencil& ps) {
+  static const char* const kAxis[] = {"nx", "ny", "nz"};
+  for (int ax = 0; ax < D; ++ax)
+    if (v.extent(ax) != prepared_extent(ps, ax)) {
+      std::ostringstream os;
+      os << "has " << (D == 1 ? "n" : kAxis[ax]) << " = " << v.extent(ax)
+         << " but was prepared for " << prepared_extent(ps, ax);
+      bad_view(which, os.str());
+    }
 }
 
-void check_stride(const char* which, int stride, int nx, int halo) {
+// Stride of `axis` (1 = rows, 2 = planes): a multiple of 8 doubles, and
+// wide enough that consecutive rows/planes including their halo never
+// alias.
+template <int D>
+void check_stride(const char* which, const FieldView<D>& v, int axis) {
+  static const char* const kName[] = {"", "row", "plane"};
+  static const char* const kNeed[] = {"", "nx + 2*halo",
+                                      "stride * (ny + 2*halo)"};
+  const std::ptrdiff_t stride = v.axis_stride(axis);
+  const std::ptrdiff_t need =
+      v.axis_stride(axis - 1) * (v.extent(axis - 1) + 2 * v.halo());
   if (stride % 8 != 0) {
     std::ostringstream os;
-    os << "has row stride " << stride
+    os << "has " << kName[axis] << " stride " << stride
        << ", which is not a multiple of 8 doubles";
     bad_view(which, os.str());
   }
-  if (stride < nx + 2 * halo) {
+  if (stride < need) {
     std::ostringstream os;
-    os << "has row stride " << stride
-       << " < nx + 2*halo = " << nx + 2 * halo
-       << "; consecutive rows would alias";
+    os << "has " << kName[axis] << " stride " << stride << " < "
+       << kNeed[axis] << " = " << need << "; consecutive " << kName[axis]
+       << "s would alias";
     bad_view(which, os.str());
   }
 }
 
-void check_plane_stride(const char* which, std::size_t plane, int stride,
-                        int ny, int halo) {
-  const std::size_t need =
-      static_cast<std::size_t>(stride) * (ny + 2 * halo);
-  if (plane % 8 != 0) {
-    std::ostringstream os;
-    os << "has plane stride " << plane
-       << ", which is not a multiple of 8 doubles";
-    bad_view(which, os.str());
-  }
-  if (plane < need) {
-    std::ostringstream os;
-    os << "has plane stride " << plane << " < stride * (ny + 2*halo) = "
-       << need << "; consecutive planes would alias";
-    bad_view(which, os.str());
-  }
-}
-
-void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
-              const FieldView1D& b, const FieldView1D* k, Layout accept,
-              int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
+// Validates a ping-pong pair (plus the source array `k` of a stencil with
+// a source term) against the prepared geometry.
+template <int D>
+void validate(const PreparedStencil& ps, const FieldView<D>& a,
+              const FieldView<D>& b, const FieldView<D>* k) {
+  const int need_halo = ps.halo();
+  const Layout accept = ps.resident_layout();
+  const int want_width = ps.kernel().width;
+  check_common("a", a, need_halo, accept, want_width);
+  check_common("b", b, need_halo, accept, want_width);
   check_same_layout(a.layout(), b.layout());
-  check_extent("a", "n", a.n(), nx);
-  check_extent("b", "n", b.n(), nx);
+  check_extents("a", a, ps);
+  check_extents("b", b, ps);
+  for (int ax = 1; ax < D; ++ax) {
+    check_stride("a", a, ax);
+    check_stride("b", b, ax);
+  }
   check_disjoint("b", b, "a", a);
-  if (has_source) {
+  if (ps.spec().has_source) {
     if (k == nullptr)
       throw std::invalid_argument(
           "PreparedStencil::run: this stencil has a source term; use the "
@@ -280,9 +295,8 @@ void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
     // The source array's layout is independent of the pair's: a
     // natural-tagged k is copied+transformed per call, a resident-tagged
     // one is read zero-copy.
-    check_common("k", k->valid(), k->layout(), k->layout_width(), k->halo(),
-                 need_halo, k->data(), accept, want_width);
-    check_extent("k", "n", k->n(), nx);
+    check_common("k", *k, need_halo, accept, want_width);
+    check_extents("k", *k, ps);
     check_disjoint("k", *k, "a", a);
     check_disjoint("k", *k, "b", b);
   } else if (k != nullptr) {
@@ -292,79 +306,32 @@ void validate(bool has_source, int need_halo, long nx, const FieldView1D& a,
   }
 }
 
-void validate(int need_halo, long nx, long ny, const FieldView2D& a,
-              const FieldView2D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_disjoint("b", b, "a", a);
-}
-
-void validate(int need_halo, long nx, long ny, long nz, const FieldView3D& a,
-              const FieldView3D& b, Layout accept, int want_width) {
-  check_common("a", a.valid(), a.layout(), a.layout_width(), a.halo(),
-               need_halo, a.data(), accept, want_width);
-  check_common("b", b.valid(), b.layout(), b.layout_width(), b.halo(),
-               need_halo, b.data(), accept, want_width);
-  check_same_layout(a.layout(), b.layout());
-  check_extent("a", "nx", a.nx(), nx);
-  check_extent("a", "ny", a.ny(), ny);
-  check_extent("a", "nz", a.nz(), nz);
-  check_extent("b", "nx", b.nx(), nx);
-  check_extent("b", "ny", b.ny(), ny);
-  check_extent("b", "nz", b.nz(), nz);
-  check_stride("a", a.stride(), a.nx(), a.halo());
-  check_stride("b", b.stride(), b.nx(), b.halo());
-  check_plane_stride("a", a.plane_stride(), a.stride(), a.ny(), a.halo());
-  check_plane_stride("b", b.plane_stride(), b.stride(), b.ny(), b.halo());
-  check_disjoint("b", b, "a", a);
-}
-
 // The Dirichlet halo is input state on *both* ping-pong buffers (kernels
 // read whichever buffer holds the current parity), so run() mirrors a's
 // halo ring into b before executing. Interior cells are not touched —
-// that is the zero-copy contract. The copy is positional, so it is valid
-// in any resident layout as long as both buffers share one (validated):
-// permute-then-copy and copy-then-permute produce identical bytes.
-void sync_halo(const FieldView1D& a, const FieldView1D& b) {
+// that is the zero-copy contract — and only the halo shell is copied,
+// O(surface) rather than O(volume): rows inside a halo slab in full, the
+// other rows (the one row of a 1-D field included) just their x rims. The
+// copy is positional, so it is valid in any resident layout as long as
+// both buffers share one (validated): permute-then-copy and
+// copy-then-permute produce identical bytes.
+template <int D>
+void sync_halo(const FieldView<D>& a, const FieldView<D>& b) {
   const int h = std::min(a.halo(), b.halo());
-  for (int i = -h; i < 0; ++i) b.at(i) = a.at(i);
-  for (int i = a.n(); i < a.n() + h; ++i) b.at(i) = a.at(i);
-}
-
-// O(surface), not O(volume): only the halo shell is copied — rows fully
-// inside the halo slabs in full, interior rows just their x rims.
-void sync_row_halo(const double* s, double* d, int nx, int h, bool full) {
-  if (full) {
-    for (int x = -h; x < nx + h; ++x) d[x] = s[x];
-  } else {
-    for (int x = -h; x < 0; ++x) d[x] = s[x];
-    for (int x = nx; x < nx + h; ++x) d[x] = s[x];
-  }
-}
-
-void sync_halo(const FieldView2D& a, const FieldView2D& b) {
-  const int h = std::min(a.halo(), b.halo());
-  for (int y = -h; y < a.ny() + h; ++y)
-    sync_row_halo(a.row(y), b.row(y), a.nx(), h, y < 0 || y >= a.ny());
-}
-
-void sync_halo(const FieldView3D& a, const FieldView3D& b) {
-  const int h = std::min(a.halo(), b.halo());
-  for (int z = -h; z < a.nz() + h; ++z) {
-    const bool halo_plane = z < 0 || z >= a.nz();
-    for (int y = -h; y < a.ny() + h; ++y)
-      sync_row_halo(a.row(z, y), b.row(z, y), a.nx(), h,
-                    halo_plane || y < 0 || y >= a.ny());
-  }
+  auto copy_x = [](const double* s, double* d, int x0, int x1) {
+    for (int x = x0; x < x1; ++x) d[x] = s[x];
+  };
+  for_each_row(
+      a, -h, a.outer_extent() + h, h,
+      [&](int x0, int x1, bool edge, const double* s, double* d) {
+        if (edge) {
+          copy_x(s, d, x0, x1);
+        } else {
+          copy_x(s, d, x0, x0 + h);
+          copy_x(s, d, x1 - h, x1);
+        }
+      },
+      b);
 }
 
 }  // namespace
@@ -373,59 +340,32 @@ void sync_halo(const FieldView3D& a, const FieldView3D& b) {
 // Execution
 // ---------------------------------------------------------------------------
 
-void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
-  run(a, b, FieldView1D{}, tsteps);
-}
-
-void PreparedStencil::run(FieldView1D a, FieldView1D b, FieldView1D k,
-                          int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument("1-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  const FieldView1D* kk = k.valid() ? &k : nullptr;
-  if (st_->validate)
-    validate(st_->spec.has_source, st_->halo, st_->nx, a, b, kk, st_->accept,
-             st_->kernel->width);
+template <int D>
+void PreparedStencil::run_views(const FieldView<D>& a, const FieldView<D>& b,
+                                const FieldView<D>* k, int tsteps) const {
+  require_prepared(*this, D, "run");
+  if (st_->validate) validate(*this, a, b, k);
   if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
+  const Pattern<D>& p = st_->spec.pattern<D>();
   const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
   if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p1, a, b, src, kk, tsteps, st_->plan.tile);
+    run_tile_plan(p, a, b, src, k, tsteps, st_->plan.tile);
   else
-    st_->kernel->run1(st_->spec.p1, a, b, src, kk, tsteps);
+    st_->kernel->run(p, a, b, src, k, tsteps);
 }
 
+void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
+  run_views<1>(a, b, nullptr, tsteps);
+}
+void PreparedStencil::run(FieldView1D a, FieldView1D b, FieldView1D k,
+                          int tsteps) const {
+  run_views<1>(a, b, k.valid() ? &k : nullptr, tsteps);
+}
 void PreparedStencil::run(FieldView2D a, FieldView2D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument("2-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p2, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run2(st_->spec.p2, a, b, tsteps);
+  run_views<2>(a, b, nullptr, tsteps);
 }
-
 void PreparedStencil::run(FieldView3D a, FieldView3D b, int tsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::run on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument("3-D run() on a stencil prepared for " +
-                                std::to_string(st_->spec.dims) + "-D");
-  if (st_->validate)
-    validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-             st_->kernel->width);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
-  if (st_->plan.tiled)
-    run_tile_plan(st_->spec.p3, a, b, tsteps, st_->plan.tile);
-  else
-    st_->kernel->run3(st_->spec.p3, a, b, tsteps);
+  run_views<3>(a, b, nullptr, tsteps);
 }
 
 void PreparedStencil::advance(FieldView1D a, FieldView1D b,
@@ -445,140 +385,66 @@ void PreparedStencil::advance(FieldView3D a, FieldView3D b,
   run(a, b, nsteps);
 }
 
+template <int D>
+void PreparedStencil::check_views(const FieldView<D>& a, const FieldView<D>& b,
+                                  const FieldView<D>* k) const {
+  require_prepared(*this, D, "validate_views");
+  validate(*this, a, b, k);
+}
+
 void PreparedStencil::validate_views(FieldView1D a, FieldView1D b,
                                      const FieldView1D* k) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument(
-        "1-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->spec.has_source, st_->halo, st_->nx, a, b, k, st_->accept,
-           st_->kernel->width);
+  check_views(a, b, k);
+}
+void PreparedStencil::validate_views(FieldView2D a, FieldView2D b,
+                                     const FieldView2D* k) const {
+  check_views(a, b, k);
+}
+void PreparedStencil::validate_views(FieldView3D a, FieldView3D b,
+                                     const FieldView3D* k) const {
+  check_views(a, b, k);
 }
 
-void PreparedStencil::validate_views(FieldView2D a, FieldView2D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, a, b, st_->accept,
-           st_->kernel->width);
-}
-
-void PreparedStencil::validate_views(FieldView3D a, FieldView3D b) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::validate_views on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D validate_views() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  validate(st_->halo, st_->nx, st_->ny, st_->nz, a, b, st_->accept,
-           st_->kernel->width);
-}
-
-void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
-                                    int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 1)
-    throw std::invalid_argument(
-        "1-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
+template <int D>
+void PreparedStencil::run_batch(const std::vector<TileBatch<D>>& items,
+                                int nsteps) const {
+  require_prepared(*this, D, "advance_batch");
   if (items.empty()) return;
-  for (const TileBatch1D& it : items) {
-    if (st_->validate)
-      validate(st_->spec.has_source, st_->halo, st_->nx, it.a, it.b, it.k,
-               st_->accept, st_->kernel->width);
+  for (const TileBatch<D>& it : items) {
+    if (st_->validate) validate(*this, it.a, it.b, it.k);
     if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
   }
+  const Pattern<D>& p = st_->spec.pattern<D>();
   const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
   if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p1, items, src, nsteps, st_->plan.tile);
+    run_tile_plan_batch(p, items, src, nsteps, st_->plan.tile);
     return;
   }
   // Untiled plan: the batch *is* the parallelism — fan the independent
   // per-item kernel runs over the shared pool in one dispatch.
-  if (items.size() > 1 && st_->threads != 1) {
+  auto run_item = [&](int i) {
+    const TileBatch<D>& it = items[static_cast<std::size_t>(i)];
+    st_->kernel->run(p, it.a, it.b, src, it.k, nsteps);
+  };
+  if (items.size() > 1 && st_->threads != 1)
     shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch1D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
-        });
-  } else {
-    for (const TileBatch1D& it : items)
-      st_->kernel->run1(st_->spec.p1, it.a, it.b, src, it.k, nsteps);
-  }
+        ->parallel_for(0, static_cast<int>(items.size()), run_item);
+  else
+    for (std::size_t i = 0; i < items.size(); ++i)
+      run_item(static_cast<int>(i));
 }
 
+void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
+                                    int nsteps) const {
+  run_batch(items, nsteps);
+}
 void PreparedStencil::advance_batch(const std::vector<TileBatch2D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 2)
-    throw std::invalid_argument(
-        "2-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch2D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p2, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch2D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch2D& it : items)
-      st_->kernel->run2(st_->spec.p2, it.a, it.b, nsteps);
-  }
+  run_batch(items, nsteps);
 }
-
 void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
                                     int nsteps) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument(
-        "PreparedStencil::advance_batch on an empty handle");
-  if (st_->spec.dims != 3)
-    throw std::invalid_argument(
-        "3-D advance_batch() on a stencil prepared for " +
-        std::to_string(st_->spec.dims) + "-D");
-  if (items.empty()) return;
-  for (const TileBatch3D& it : items) {
-    if (st_->validate)
-      validate(st_->halo, st_->nx, st_->ny, st_->nz, it.a, it.b, st_->accept,
-               st_->kernel->width);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
-  }
-  if (st_->plan.tiled) {
-    run_tile_plan_batch(st_->spec.p3, items, nsteps, st_->plan.tile);
-    return;
-  }
-  if (items.size() > 1 && st_->threads != 1) {
-    shared_pool(st_->threads, st_->affinity)
-        ->parallel_for(0, static_cast<int>(items.size()), [&](int i) {
-          const TileBatch3D& it = items[static_cast<std::size_t>(i)];
-          st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-        });
-  } else {
-    for (const TileBatch3D& it : items)
-      st_->kernel->run3(st_->spec.p3, it.a, it.b, nsteps);
-  }
+  run_batch(items, nsteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +453,7 @@ void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
 
 namespace {
 
-// Drives `fn(lo, hi)` over the tiled dimension's logical range
+// Drives `fn(lo, hi)` over the outermost (tiled) axis's logical range
 // [-halo, n_tiled + halo) either per placement — each owning worker
 // handling exactly its tile rows/planes (plus the domain-end halo slabs
 // abutting its tiles) — or serially on the calling thread when the plan has
@@ -622,55 +488,27 @@ void split_over_placement(const ExecutionPlan& plan, WorkerPool* pool,
   });
 }
 
-template <class Zero>
-void first_touch_split(const ExecutionPlan& plan, WorkerPool* pool,
-                       long n_tiled, long prepared_n, int halo, Zero&& zero) {
-  split_over_placement(plan, pool, n_tiled, prepared_n, halo,
-                       /*pinned_only=*/true, std::forward<Zero>(zero));
-}
-
 }  // namespace
 
-void PreparedStencil::first_touch(FieldView1D v) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
+template <int D>
+void PreparedStencil::touch(const FieldView<D>& v) const {
+  require_prepared(*this, D, "first_touch", /*check_dims=*/false);
   const int h = v.halo();
-  first_touch_split(st_->plan, st_->pool.get(), v.n(), st_->nx, h,
-                    [&](long lo, long hi) {
-                      std::memset(v.data() + lo, 0,
-                                  static_cast<std::size_t>(hi - lo) *
-                                      sizeof(double));
-                    });
+  split_over_placement(
+      st_->plan, st_->pool.get(), v.outer_extent(), st_->ext[D - 1], h,
+      /*pinned_only=*/true, [&](long lo, long hi) {
+        for_each_row(v, static_cast<int>(lo), static_cast<int>(hi), h,
+                     [](int x0, int x1, bool, double* row) {
+                       std::memset(row + x0, 0,
+                                   static_cast<std::size_t>(x1 - x0) *
+                                       sizeof(double));
+                     });
+      });
 }
 
-void PreparedStencil::first_touch(FieldView2D v) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
-  const int h = v.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(v.nx() + 2 * h) * sizeof(double);
-  first_touch_split(st_->plan, st_->pool.get(), v.ny(), st_->ny, h,
-                    [&](long lo, long hi) {
-                      for (long y = lo; y < hi; ++y)
-                        std::memset(v.row(static_cast<int>(y)) - h, 0,
-                                    row_bytes);
-                    });
-}
-
-void PreparedStencil::first_touch(FieldView3D v) const {
-  if (st_ == nullptr)
-    throw std::invalid_argument("PreparedStencil::first_touch on an empty handle");
-  const int h = v.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(v.nx() + 2 * h) * sizeof(double);
-  first_touch_split(st_->plan, st_->pool.get(), v.nz(), st_->nz, h,
-                    [&](long lo, long hi) {
-                      for (long z = lo; z < hi; ++z)
-                        for (int y = -h; y < v.ny() + h; ++y)
-                          std::memset(v.row(static_cast<int>(z), y) - h, 0,
-                                      row_bytes);
-                    });
-}
+void PreparedStencil::first_touch(FieldView1D v) const { touch(v); }
+void PreparedStencil::first_touch(FieldView2D v) const { touch(v); }
+void PreparedStencil::first_touch(FieldView3D v) const { touch(v); }
 
 // ---------------------------------------------------------------------------
 // Resident-layout conversion helpers
@@ -678,47 +516,20 @@ void PreparedStencil::first_touch(FieldView3D v) const {
 
 namespace {
 
-// The in-place transform behind convert_layout(), placement-aware where the
-// row/plane structure allows: 2-D rows and 3-D planes are independent, so
-// the transform runs as a pool task over the plan's ownership map — each
-// worker permutes the rows/planes of its own tiles, keeping the work where
-// the pages live (and off the calling thread's node for fresh first-touched
-// buffers). 1-D has no such split (the permutation works on W*W element
-// blocks that tile boundaries would cut) and stays serial. Serial/untiled
-// preparations and mismatched extents fall back to the caller's thread.
-// The const_cast is sound: pool() returns const only as introspection
-// hygiene; the pool object itself is the registry's mutable shared state.
-void transform_view(const PreparedStencil& ps, const FieldView1D& v) {
-  apply_transpose_layout(v, ps.kernel().width);
-}
-
-void transform_view(const PreparedStencil& ps, const FieldView2D& v) {
-  WorkerPool* pool = const_cast<WorkerPool*>(ps.pool());
-  split_over_placement(ps.plan(), pool, v.ny(), ps.ny(), v.halo(),
-                       /*pinned_only=*/false, [&](long lo, long hi) {
-                         apply_transpose_layout_rows(
-                             v, ps.kernel().width, static_cast<int>(lo),
-                             static_cast<int>(hi));
-                       });
-}
-
-void transform_view(const PreparedStencil& ps, const FieldView3D& v) {
-  WorkerPool* pool = const_cast<WorkerPool*>(ps.pool());
-  split_over_placement(ps.plan(), pool, v.nz(), ps.nz(), v.halo(),
-                       /*pinned_only=*/false, [&](long lo, long hi) {
-                         apply_transpose_layout_planes(
-                             v, ps.kernel().width, static_cast<int>(lo),
-                             static_cast<int>(hi));
-                       });
-}
-
 // Shared implementation of to_resident_layout()/to_natural_layout(): the
 // preferred layouts are involutions (register transpose), so the same
 // transform converts in either direction and only the tag bookkeeping
-// differs.
-template <class View>
-View convert_layout(const PreparedStencil& ps, View v, bool to_resident,
-                    const char* fn) {
+// differs. The in-place transform is placement-aware: rows, planes and
+// 1-D W*W blocks are independent, so it runs as a pool task over the
+// plan's ownership map — each worker permutes the part of its own tiles,
+// keeping the work where the pages live (and off the calling thread's node
+// for fresh first-touched buffers). Serial/untiled preparations and
+// mismatched extents fall back to the caller's thread. The const_cast is
+// sound: pool() returns const only as introspection hygiene; the pool
+// object itself is the registry's mutable shared state.
+template <int D>
+FieldView<D> convert_layout(const PreparedStencil& ps, FieldView<D> v,
+                            bool to_resident, const char* fn) {
   if (!ps.valid())
     throw std::invalid_argument(std::string(fn) +
                                 ": empty PreparedStencil handle");
@@ -736,12 +547,12 @@ View convert_layout(const PreparedStencil& ps, View v, bool to_resident,
   // width — the permutations differ per width, so converting (or handing
   // back, in the idempotent case) a foreign-width buffer would scramble it
   // undetectably.
-  if (v.layout() != Layout::Natural &&
-      v.layout_width() != ps.kernel().width) {
+  const int width = ps.kernel().width;
+  if (v.layout() != Layout::Natural && v.layout_width() != width) {
     std::ostringstream os;
     os << fn << ": view is tagged " << layout_name(v.layout())
        << " for SIMD width " << v.layout_width()
-       << " but this handle's kernel uses width " << ps.kernel().width;
+       << " but this handle's kernel uses width " << width;
     throw std::invalid_argument(os.str());
   }
   const Layout want = to_resident ? pref : Layout::Natural;
@@ -752,9 +563,14 @@ View convert_layout(const PreparedStencil& ps, View v, bool to_resident,
         std::string(fn) + ": view is tagged " + layout_name(v.layout()) +
         "; expected " + layout_name(from) + " (preferred layout is " +
         layout_name(pref) + ")");
-  transform_view(ps, v);  // involution
-  return v.with_layout(want,
-                       want == Layout::Natural ? 0 : ps.kernel().width);
+  split_over_placement(ps.plan(), const_cast<WorkerPool*>(ps.pool()),
+                       v.outer_extent(), prepared_extent(ps, D - 1), v.halo(),
+                       /*pinned_only=*/false, [&](long lo, long hi) {
+                         apply_transpose_layout(v, width,
+                                                static_cast<int>(lo),
+                                                static_cast<int>(hi));
+                       });
+  return v.with_layout(want, want == Layout::Natural ? 0 : width);
 }
 
 }  // namespace
@@ -821,6 +637,17 @@ std::uint64_t hash_spec(const StencilSpec& s) {
 // served (or keyed as) a stale preparation.
 void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
                      int& tsteps) {
+  // FieldView extents are int: refuse what no view could describe instead
+  // of letting a narrowing cast wrap it into some other grid.
+  for (long e : {ext.nx, ext.ny, ext.nz})
+    if (e < 0 || e > std::numeric_limits<int>::max())
+      throw std::invalid_argument(
+          "Engine::prepare: extent " + std::to_string(e) +
+          " is outside [0, INT_MAX] (0 = the preset default)");
+  if (opts.tsteps < 0)
+    throw std::invalid_argument("Engine::prepare: tsteps " +
+                                std::to_string(opts.tsteps) +
+                                " is negative (0 = the preset default)");
   if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
   if (opts.threads == 0) opts.threads = env_threads();
   opts.validate = opts.validate && env_validate();
@@ -979,9 +806,9 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
 
   auto st = std::make_shared<PreparedStencil::State>();
   st->spec = spec;
-  st->nx = ext.nx;
-  st->ny = ext.ny;
-  st->nz = ext.nz;
+  st->ext[0] = ext.nx;
+  st->ext[1] = ext.ny;
+  st->ext[2] = ext.nz;
   st->tsteps = tsteps;
   st->threads = opts.threads;
   st->plan_key = request_key(sh, ext, tsteps, opts);

@@ -253,16 +253,31 @@ class PreparedStencil {
   /// request is rejected on the client thread instead of poisoning a batch.
   void validate_views(FieldView1D a, FieldView1D b,
                       const FieldView1D* k = nullptr) const;
-  /// 2-D overload of validate_views().
-  void validate_views(FieldView2D a, FieldView2D b) const;
-  /// 3-D overload of validate_views().
-  void validate_views(FieldView3D a, FieldView3D b) const;
+  /// 2-D overload of validate_views() (a non-null `k` is rejected: only
+  /// 1-D stencils have a source term).
+  void validate_views(FieldView2D a, FieldView2D b,
+                      const FieldView2D* k = nullptr) const;
+  /// 3-D overload of validate_views(); see the 2-D one.
+  void validate_views(FieldView3D a, FieldView3D b,
+                      const FieldView3D* k = nullptr) const;
 
  private:
   friend class Engine;
   struct State;
   explicit PreparedStencil(std::shared_ptr<const State> st)
       : st_(std::move(st)) {}
+
+  // The one body behind each family of per-dimension overloads above.
+  template <int D>
+  void run_views(const FieldView<D>& a, const FieldView<D>& b,
+                 const FieldView<D>* k, int tsteps) const;
+  template <int D>
+  void check_views(const FieldView<D>& a, const FieldView<D>& b,
+                   const FieldView<D>* k) const;
+  template <int D>
+  void run_batch(const std::vector<TileBatch<D>>& items, int nsteps) const;
+  template <int D>
+  void touch(const FieldView<D>& v) const;
 
   std::shared_ptr<const State> st_;
 };

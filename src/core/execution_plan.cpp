@@ -224,7 +224,9 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   // be edited — and an unblockable entry is ignored in favor of the
   // heuristics. An entry that probed the thread-count axis deploys its
   // winning worker count too (a bandwidth-saturated stencil may have
-  // measured fastest below the hardware maximum).
+  // measured fastest below the hardware maximum). The tuner never probes
+  // above the negotiated count, so a larger recalled one (an edited or
+  // foreign cache file) is ignored rather than deployed as a pool size.
   if (req.tile == 0 && req.time_block == 0) {
     const TuneKey key =
         make_tune_key(*req.kernel, effective_radius(*req.spec), req.nx,
@@ -233,7 +235,8 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
       PlanRequest cached = req;
       cached.tile = hit->tile;
       cached.time_block = hit->time_block;
-      if (hit->threads > 0) cached.threads = hit->threads;
+      if (hit->threads > 0 && hit->threads <= g.threads)
+        cached.threads = hit->threads;
       const WedgeGeometry cg = negotiate(cached);
       if (cg.blocked) {
         plan.tile.tile = cg.tile;

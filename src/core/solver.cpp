@@ -43,16 +43,6 @@ auto make_grid(long nx, long ny, long nz, int halo, bool zero_init = true) {
                   static_cast<int>(nx), halo, zero_init);
 }
 
-template <int D>
-const auto& pattern_of(const StencilSpec& s) {
-  if constexpr (D == 1)
-    return s.p1;
-  else if constexpr (D == 2)
-    return s.p2;
-  else
-    return s.p3;
-}
-
 // Per-dimension slots of the Workspace.
 template <int D>
 auto& ws_a(Workspace& w) {
@@ -513,7 +503,7 @@ RunResult Solver::run_impl(bool verify) {
 
   return dispatch_dims(s.dims, [&](auto dc) -> RunResult {
     constexpr int D = std::decay_t<decltype(dc)>::value;
-    const auto& p = pattern_of<D>(s);
+    const auto& p = s.pattern<D>();
 
     if (ws_.dims != D || ws_.halo != halo_ || ws_.nx != cfg_.nx ||
         ws_.ny != cfg_.ny || ws_.nz != cfg_.nz ||

@@ -173,20 +173,6 @@ class Solver {
   /// Seed of the deterministic random initial condition.
   Solver& seed(std::uint64_t s);
 
-  /// \deprecated Use tiling(Tiling::On) / tiling(Tiling::Off).
-  Solver& tiled(bool on = true) {
-    return tiling(on ? Tiling::On : Tiling::Off);
-  }
-  /// \deprecated Use tiling(Tiling::On) plus tile()/time_block()/threads().
-  /// The plan's method/ISA always follow the Solver-selected kernel, so
-  /// `opts.method`/`opts.isa` are ignored.
-  Solver& tiled(const TilePlan& opts) {
-    tile(opts.tile);
-    time_block(opts.time_block);
-    threads(opts.threads);
-    return tiling(Tiling::On);
-  }
-
   // ---- resolved view ----------------------------------------------------
   /// The stencil being solved.
   const StencilSpec& spec() const { return cfg_.spec; }

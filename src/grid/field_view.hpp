@@ -1,13 +1,20 @@
 /// \file
 /// \brief Non-owning, zero-copy field views — the executor-facing grid type.
 ///
-/// A FieldView is a pointer + extents + stride + halo (plus a Layout tag)
+/// A FieldView is a pointer + extents + strides + halo (plus a Layout tag)
 /// over memory the *caller* owns. Every executor in the library — the
 /// registry kernels, the split-tiling engine, the naive reference — runs on
 /// views, so a PreparedStencil (core/engine.hpp) can execute directly on
 /// user buffers without the library ever allocating or copying field data.
 /// Grid{1,2,3}D (grid/grid.hpp) remain the library's allocators and convert
 /// to views implicitly.
+///
+/// One class template serves every dimensionality: FieldView<D> stores its
+/// extents and strides per axis (axis 0 = x, the contiguous one), and
+/// FieldView1D/2D/3D are aliases keeping the historical constructors and
+/// accessors. Code that works the same in any dimension — validation, halo
+/// sync, layout transforms, the tiled driver — is written once over D on
+/// top of for_each_row(), the row walker at the end of this header.
 ///
 /// Views use *shallow const* semantics, like std::span: a `const FieldView&`
 /// still hands out writable element access, because the view is a borrowed
@@ -52,22 +59,78 @@ inline const char* layout_name(Layout l) {
   return "?";
 }
 
-/// Non-owning view of a 1-D halo field: n interior elements with `halo`
-/// addressable cells on each side.
-class FieldView1D {
+/// Non-owning view of a D-dimensional halo field: an interior box with
+/// `halo` addressable cells on each side of every axis. Indices are passed
+/// outermost first (z, y, x), halo cells at negative indices.
+template <int D>
+class FieldView {
+  static_assert(D >= 1 && D <= 3, "FieldView covers 1-D, 2-D and 3-D fields");
+
  public:
   /// An empty view (valid() is false).
-  FieldView1D() = default;
-  /// Wraps caller memory; `interior` points at logical element 0 (halo at
-  /// negative indices).
-  FieldView1D(double* interior, int n, int halo,
-              Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), n_(n), halo_(halo), layout_(layout),
-        layout_w_(layout_width) {}
+  FieldView() = default;
+  /// 1-D: wraps caller memory; `interior` points at logical element 0.
+  FieldView(double* interior, int n, int halo,
+            Layout layout = Layout::Natural, int layout_width = 0)
+      : p_(interior), n_{n}, st_{1}, halo_(halo), layout_(layout),
+        layout_w_(layout_width) {
+    static_assert(D == 1, "this constructor builds a 1-D view");
+  }
+  /// 2-D: ny x nx interior, rows `stride` doubles apart; `interior` points
+  /// at logical element (0,0).
+  FieldView(double* interior, int ny, int nx, int stride, int halo,
+            Layout layout = Layout::Natural, int layout_width = 0)
+      : p_(interior), n_{nx, ny}, st_{1, stride}, halo_(halo),
+        layout_(layout), layout_w_(layout_width) {
+    static_assert(D == 2, "this constructor builds a 2-D view");
+  }
+  /// 3-D: nz x ny x nx interior, rows `stride` doubles apart, planes
+  /// `plane_stride` doubles apart; `interior` points at (0,0,0).
+  FieldView(double* interior, int nz, int ny, int nx, int stride,
+            std::size_t plane_stride, int halo,
+            Layout layout = Layout::Natural, int layout_width = 0)
+      : p_(interior), n_{nx, ny, nz},
+        st_{1, stride, static_cast<std::ptrdiff_t>(plane_stride)},
+        halo_(halo), layout_(layout), layout_w_(layout_width) {
+    static_assert(D == 3, "this constructor builds a 3-D view");
+  }
 
-  /// Interior extent.
-  int n() const { return n_; }
-  /// Addressable halo cells on each side.
+  /// Interior extent along `axis` (0 = x, 1 = y, 2 = z).
+  int extent(int axis) const { return n_[axis]; }
+  /// Interior extent of the outermost axis — the one the row walker and
+  /// split tiling step along (x in 1-D, y in 2-D, z in 3-D).
+  int outer_extent() const { return n_[D - 1]; }
+  /// Distance in doubles between consecutive indices of `axis` (1 for x).
+  std::ptrdiff_t axis_stride(int axis) const { return st_[axis]; }
+
+  /// 1-D interior extent.
+  int n() const {
+    static_assert(D == 1, "n() is the 1-D extent; use nx()/ny()/nz()");
+    return n_[0];
+  }
+  /// Interior row extent (the whole extent in 1-D).
+  int nx() const { return n_[0]; }
+  /// Interior row count (per plane in 3-D).
+  int ny() const {
+    static_assert(D >= 2, "a 1-D view has no y axis");
+    return n_[1];
+  }
+  /// Interior plane count.
+  int nz() const {
+    static_assert(D == 3, "only a 3-D view has a z axis");
+    return n_[2];
+  }
+  /// Distance between consecutive rows, in doubles.
+  int stride() const {
+    static_assert(D >= 2, "a 1-D view has no row stride");
+    return static_cast<int>(st_[1]);
+  }
+  /// Distance between consecutive planes, in doubles.
+  std::size_t plane_stride() const {
+    static_assert(D == 3, "only a 3-D view has a plane stride");
+    return static_cast<std::size_t>(st_[2]);
+  }
+  /// Addressable halo cells on each side of each dimension.
   int halo() const { return halo_; }
   /// Storage-order tag of the wrapped memory.
   Layout layout() const { return layout_; }
@@ -80,133 +143,96 @@ class FieldView1D {
   /// True when the view wraps memory (default-constructed views do not).
   bool valid() const { return p_ != nullptr; }
 
-  /// Pointer to interior element 0; valid indices are [-halo, n+halo).
+  /// Pointer to interior element (0[,0,0]).
   double* data() const { return p_; }
-  /// Element access by logical index (halo at negative indices).
-  double& at(int i) const { return p_[i]; }
+  /// Pointer to x = 0 of the row at the D-1 non-x indices, outermost first
+  /// — row(y) in 2-D, row(z, y) in 3-D, row() in 1-D; indices may range
+  /// over the halo.
+  template <class... I>
+  double* row(I... outer) const {
+    static_assert(sizeof...(I) == D - 1, "row() takes the D-1 non-x indices");
+    const std::ptrdiff_t ix[] = {0, static_cast<std::ptrdiff_t>(outer)...};
+    std::ptrdiff_t off = 0;
+    for (int k = 1; k < D; ++k) off += ix[k] * st_[D - k];
+    return p_ + off;
+  }
+  /// Element access by logical index, outermost first (halo at negative
+  /// indices).
+  template <class... I>
+  double& at(I... idx) const {
+    static_assert(sizeof...(I) == D, "at() takes one index per axis");
+    const std::ptrdiff_t ix[] = {static_cast<std::ptrdiff_t>(idx)...};
+    std::ptrdiff_t off = ix[D - 1];
+    for (int k = 0; k + 1 < D; ++k) off += ix[k] * st_[D - 1 - k];
+    return p_[off];
+  }
 
   /// The same view re-tagged with `l` (no data movement). Non-natural tags
   /// should record the SIMD width the transform used (to_resident_layout
   /// does this automatically).
-  FieldView1D with_layout(Layout l, int layout_width = 0) const {
-    return FieldView1D(p_, n_, halo_, l, layout_width);
+  FieldView with_layout(Layout l, int layout_width = 0) const {
+    FieldView v = *this;
+    v.layout_ = l;
+    v.layout_w_ = layout_width;
+    return v;
   }
+  /// The view itself — with Grid::view() this lets helpers accept a view
+  /// or a Grid alike.
+  FieldView view() const { return *this; }
 
  private:
   double* p_ = nullptr;
-  int n_ = 0, halo_ = 0;
-  Layout layout_ = Layout::Natural;
-  int layout_w_ = 0;
-};
-
-/// Non-owning view of a 2-D halo field: ny x nx interior, rows `stride`
-/// doubles apart.
-class FieldView2D {
- public:
-  /// An empty view (valid() is false).
-  FieldView2D() = default;
-  /// Wraps caller memory; `interior` points at logical element (0,0).
-  FieldView2D(double* interior, int ny, int nx, int stride, int halo,
-              Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), ny_(ny), nx_(nx), stride_(stride), halo_(halo),
-        layout_(layout), layout_w_(layout_width) {}
-
-  /// Interior row count.
-  int ny() const { return ny_; }
-  /// Interior row extent.
-  int nx() const { return nx_; }
-  /// Distance between consecutive rows, in doubles.
-  int stride() const { return stride_; }
-  /// Addressable halo cells on each side of each dimension.
-  int halo() const { return halo_; }
-  /// Storage-order tag of the wrapped memory.
-  Layout layout() const { return layout_; }
-  /// SIMD width of the non-natural layout; see FieldView1D::layout_width().
-  int layout_width() const { return layout_w_; }
-  /// True when the view wraps memory (default-constructed views do not).
-  bool valid() const { return p_ != nullptr; }
-
-  /// Pointer to interior element (0,0); valid (y,x) with y in
-  /// [-halo, ny+halo) and x in [-halo, nx+halo).
-  double* data() const { return p_; }
-  /// Pointer to interior element (y, 0); y may range over the halo.
-  double* row(int y) const {
-    return p_ + static_cast<std::ptrdiff_t>(y) * stride_;
-  }
-  /// Element access by logical index (halo at negative indices).
-  double& at(int y, int x) const { return row(y)[x]; }
-
-  /// The same view re-tagged with `l` (no data movement); see
-  /// FieldView1D::with_layout().
-  FieldView2D with_layout(Layout l, int layout_width = 0) const {
-    return FieldView2D(p_, ny_, nx_, stride_, halo_, l, layout_width);
-  }
-
- private:
-  double* p_ = nullptr;
-  int ny_ = 0, nx_ = 0, stride_ = 0, halo_ = 0;
-  Layout layout_ = Layout::Natural;
-  int layout_w_ = 0;
-};
-
-/// Non-owning view of a 3-D halo field: nz x ny x nx interior, rows
-/// `stride` doubles apart, planes `plane_stride` doubles apart.
-class FieldView3D {
- public:
-  /// An empty view (valid() is false).
-  FieldView3D() = default;
-  /// Wraps caller memory; `interior` points at logical element (0,0,0).
-  FieldView3D(double* interior, int nz, int ny, int nx, int stride,
-              std::size_t plane_stride, int halo,
-              Layout layout = Layout::Natural, int layout_width = 0)
-      : p_(interior), nz_(nz), ny_(ny), nx_(nx), stride_(stride),
-        plane_(plane_stride), halo_(halo), layout_(layout),
-        layout_w_(layout_width) {}
-
-  /// Interior plane count.
-  int nz() const { return nz_; }
-  /// Interior row count per plane.
-  int ny() const { return ny_; }
-  /// Interior row extent.
-  int nx() const { return nx_; }
-  /// Distance between consecutive rows, in doubles.
-  int stride() const { return stride_; }
-  /// Distance between consecutive planes, in doubles.
-  std::size_t plane_stride() const { return plane_; }
-  /// Addressable halo cells on each side of each dimension.
-  int halo() const { return halo_; }
-  /// Storage-order tag of the wrapped memory.
-  Layout layout() const { return layout_; }
-  /// SIMD width of the non-natural layout; see FieldView1D::layout_width().
-  int layout_width() const { return layout_w_; }
-  /// True when the view wraps memory (default-constructed views do not).
-  bool valid() const { return p_ != nullptr; }
-
-  /// Pointer to interior element (0,0,0).
-  double* data() const { return p_; }
-  /// Pointer to interior element (z, y, 0); z/y may range over the halo.
-  double* row(int z, int y) const {
-    return p_ + static_cast<std::ptrdiff_t>(z) *
-                    static_cast<std::ptrdiff_t>(plane_) +
-           static_cast<std::ptrdiff_t>(y) * stride_;
-  }
-  /// Element access by logical index (halo at negative indices).
-  double& at(int z, int y, int x) const { return row(z, y)[x]; }
-
-  /// The same view re-tagged with `l` (no data movement); see
-  /// FieldView1D::with_layout().
-  FieldView3D with_layout(Layout l, int layout_width = 0) const {
-    return FieldView3D(p_, nz_, ny_, nx_, stride_, plane_, halo_, l,
-                       layout_width);
-  }
-
- private:
-  double* p_ = nullptr;
-  int nz_ = 0, ny_ = 0, nx_ = 0, stride_ = 0;
-  std::size_t plane_ = 0;
+  int n_[D] = {};                // interior extent per axis, x first
+  std::ptrdiff_t st_[D] = {};    // element stride per axis, x first
   int halo_ = 0;
   Layout layout_ = Layout::Natural;
   int layout_w_ = 0;
 };
+
+using FieldView1D = FieldView<1>;  ///< 1-D view: n interior elements.
+using FieldView2D = FieldView<2>;  ///< 2-D view: ny x nx interior.
+using FieldView3D = FieldView<3>;  ///< 3-D view: nz x ny x nx interior.
+
+namespace detail {
+/// `T` itself, as a nested name (which template deduction never looks
+/// through).
+template <class T>
+struct Identity {
+  using type = T;  ///< The wrapped type.
+};
+}  // namespace detail
+
+/// FieldView<D> in a non-deduced context: a function template can take D
+/// from a Pattern<D> argument and still accept Grids, which convert to the
+/// view parameters implicitly.
+template <int D>
+using ViewArg = typename detail::Identity<FieldView<D>>::type;
+
+/// The row walker: visits, as contiguous x-rows, the part of `v` whose
+/// outermost index lies in [lo, hi) — the axes between the outermost and x
+/// over [-h, n + h) — and calls
+/// `fn(x0, x1, edge, v_row, more_row...)` once per row, outermost index
+/// slowest. `v_row` and `more_row...` point at x = 0 of that row in `v` and
+/// in each same-shaped view of `more` (strides may differ); [x0, x1) is the
+/// row's x range, [-h, nx + h); `edge` is true for rows inside a halo slab
+/// of a non-x axis. A 1-D view has no axis above x, so its outermost axis
+/// *is* x: it is a single row whose x range is [lo, hi) itself.
+template <int D, class Fn, class... More>
+void for_each_row(const FieldView<D>& v, int lo, int hi, int h, Fn&& fn,
+                  const More&... more) {
+  if constexpr (D == 1) {
+    if (lo < hi) fn(lo, hi, false, v.row(), more.row()...);
+  } else if constexpr (D == 2) {
+    for (int y = lo; y < hi; ++y)
+      fn(-h, v.nx() + h, y < 0 || y >= v.ny(), v.row(y), more.row(y)...);
+  } else {
+    for (int z = lo; z < hi; ++z) {
+      const bool edge_plane = z < 0 || z >= v.nz();
+      for (int y = -h; y < v.ny() + h; ++y)
+        fn(-h, v.nx() + h, edge_plane || y < 0 || y >= v.ny(), v.row(z, y),
+           more.row(z, y)...);
+    }
+  }
+}
 
 }  // namespace sf

@@ -377,7 +377,7 @@ const KernelRegistrar reg1d{{
     // Tileability (last parameter): the wedge stage runs apply_pattern for
     // Naive (any radius); multiple-loads/data-reorg have no tiled stage;
     // 1-D DLT cannot be wedge-tiled (the lifted seam couples column 0 to
-    // column L-1, see run_tiled); ours/ours-2step tile while the
+    // column L-1, see run_tile_plan); ours/ours-2step tile while the
     // (fold-doubled) radius fits the transposed vector window W.
     kernel1d_info(Method::Naive, Isa::Scalar, 1, 1, &run_naive1d, 0, 0, 0),
     kernel1d_info(Method::Naive, Isa::Avx2, 1, 1, &run_naive1d, 0, 0, 0),

@@ -72,6 +72,16 @@ struct KernelInfo {
   Run2D run2 = nullptr;  ///< 2-D executor (non-null iff dims == 2).
   Run3D run3 = nullptr;  ///< 3-D executor (non-null iff dims == 3).
 
+  /// Calls the executor of dimension D. `src` over `k` is the 1-D APOP
+  /// source term; both are ignored above 1-D.
+  template <int D>
+  void run(const Pattern<D>& p, const FieldView<D>& a, const FieldView<D>& b,
+           const Pattern1D* src, const FieldView<D>* k, int tsteps) const {
+    if constexpr (D == 1) run1(p, a, b, src, k, tsteps);
+    else if constexpr (D == 2) run2(p, a, b, tsteps);
+    else run3(p, a, b, tsteps);
+  }
+
   /// Minimum halo width grids must be allocated with for radius-r patterns.
   int required_halo(int radius) const {
     const int h = fold_depth * radius;

@@ -29,41 +29,21 @@ std::vector<double>& tls_scratch(std::size_t n) {
 }
 }  // namespace
 
-void grid_to_dlt(const FieldView1D& g, int w) {
-  row_to_dlt(g.data(), g.n(), w, tls_scratch(g.n()).data());
+template <int D>
+void transform_dlt(const FieldView<D>& g, int w, bool lift) {
+  double* s = tls_scratch(static_cast<std::size_t>(g.nx())).data();
+  const int h = g.halo();
+  for_each_row(g, -h, g.outer_extent() + h, h,
+               [&](int, int, bool, double* row) {
+                 if (lift)
+                   row_to_dlt(row, g.nx(), w, s);
+                 else
+                   row_from_dlt(row, g.nx(), w, s);
+               });
 }
 
-void grid_from_dlt(const FieldView1D& g, int w) {
-  row_from_dlt(g.data(), g.n(), w, tls_scratch(g.n()).data());
-}
-
-// 2-D/3-D transforms include halo rows/planes: kernels read y/z-neighbours
-// of boundary rows through the lifted index map, so those rows must be
-// lifted too.
-void grid_to_dlt(const FieldView2D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_to_dlt(g.row(y), g.nx(), w, s.data());
-}
-
-void grid_from_dlt(const FieldView2D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_from_dlt(g.row(y), g.nx(), w, s.data());
-}
-
-void grid_to_dlt(const FieldView3D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_to_dlt(g.row(z, y), g.nx(), w, s.data());
-}
-
-void grid_from_dlt(const FieldView3D& g, int w) {
-  auto& s = tls_scratch(static_cast<std::size_t>(g.nx()));
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_from_dlt(g.row(z, y), g.nx(), w, s.data());
-}
+template void transform_dlt(const FieldView1D&, int, bool);
+template void transform_dlt(const FieldView2D&, int, bool);
+template void transform_dlt(const FieldView3D&, int, bool);
 
 }  // namespace sf

@@ -34,11 +34,23 @@ void row_to_dlt(double* row, int n, int w, double* scratch);
 /// Inverse transform.
 void row_from_dlt(double* row, int n, int w, double* scratch);
 
-void grid_to_dlt(const FieldView1D& g, int w);
-void grid_from_dlt(const FieldView1D& g, int w);
-void grid_to_dlt(const FieldView2D& g, int w);
-void grid_from_dlt(const FieldView2D& g, int w);
-void grid_to_dlt(const FieldView3D& g, int w);
-void grid_from_dlt(const FieldView3D& g, int w);
+/// Applies row_to_dlt (`lift`) or row_from_dlt to every row of `g`. 2-D/3-D
+/// transforms include halo rows/planes: kernels read y/z-neighbours of
+/// boundary rows through the lifted index map, so those rows must be
+/// lifted too.
+template <int D>
+void transform_dlt(const FieldView<D>& g, int w, bool lift);
+
+/// Lifts a view or Grid into DLT layout.
+template <class G>
+void grid_to_dlt(const G& g, int w) {
+  transform_dlt(g.view(), w, true);
+}
+
+/// Inverse of grid_to_dlt().
+template <class G>
+void grid_from_dlt(const G& g, int w) {
+  transform_dlt(g.view(), w, false);
+}
 
 }  // namespace sf

@@ -4,40 +4,18 @@
 
 namespace sf {
 
-namespace {
-template <class G>
-void dispatch(const G& g, int w) {
+template <int D>
+void apply_transpose_layout(const FieldView<D>& g, int w, int lo, int hi) {
   switch (w) {
     case 1: break;
-    case 4: grid_transpose_layout<4>(g); break;
-    case 8: grid_transpose_layout<8>(g); break;
-    default: throw std::invalid_argument("unsupported SIMD width");
-  }
-}
-}  // namespace
-
-void apply_transpose_layout(const FieldView1D& g, int w) { dispatch(g, w); }
-void apply_transpose_layout(const FieldView2D& g, int w) { dispatch(g, w); }
-void apply_transpose_layout(const FieldView3D& g, int w) { dispatch(g, w); }
-
-void apply_transpose_layout_rows(const FieldView2D& g, int w, int y0,
-                                 int y1) {
-  switch (w) {
-    case 1: break;
-    case 4: grid_transpose_layout_rows<4>(g, y0, y1); break;
-    case 8: grid_transpose_layout_rows<8>(g, y0, y1); break;
+    case 4: grid_transpose_layout<4>(g, lo, hi); break;
+    case 8: grid_transpose_layout<8>(g, lo, hi); break;
     default: throw std::invalid_argument("unsupported SIMD width");
   }
 }
 
-void apply_transpose_layout_planes(const FieldView3D& g, int w, int z0,
-                                   int z1) {
-  switch (w) {
-    case 1: break;
-    case 4: grid_transpose_layout_planes<4>(g, z0, z1); break;
-    case 8: grid_transpose_layout_planes<8>(g, z0, z1); break;
-    default: throw std::invalid_argument("unsupported SIMD width");
-  }
-}
+template void apply_transpose_layout(const FieldView1D&, int, int, int);
+template void apply_transpose_layout(const FieldView2D&, int, int, int);
+template void apply_transpose_layout(const FieldView3D&, int, int, int);
 
 }  // namespace sf

@@ -8,6 +8,9 @@
 // order; kernels access them scalar.
 #pragma once
 
+#include <algorithm>
+#include <climits>
+
 #include "grid/grid.hpp"
 #include "simd/transpose.hpp"
 
@@ -29,66 +32,53 @@ inline int tl_index(int i, int n) {
   return b * bs + (r % W) * W + r / W;
 }
 
-/// Transposes every full W*W block of row[0..n) in place.
+/// Transposes in place the full W*W blocks of row[0..n) whose first
+/// element lies in [x0, x1) — every block by default.
 template <int W>
-inline void row_transpose_layout(double* row, int n) {
-  const int nb = tl_blocks<W>(n);
-  for (int b = 0; b < nb; ++b) simd::transpose_block_inplace<W>(row + b * W * W);
+inline void row_transpose_layout(double* row, int n, int x0 = 0,
+                                 int x1 = INT_MAX) {
+  constexpr int bs = W * W;
+  // First block index >= x / bs, for any sign of x.
+  auto block_at = [](int x) { return x <= 0 ? 0 : (x - 1) / bs + 1; };
+  const int b1 = std::min(tl_blocks<W>(n), block_at(x1));
+  for (int b = block_at(x0); b < b1; ++b)
+    simd::transpose_block_inplace<W>(row + b * bs);
 }
 
-template <int W>
-inline void grid_transpose_layout(const FieldView1D& g) {
-  row_transpose_layout<W>(g.data(), g.n());
+/// Transforms the rows of `g` whose outermost index lies in [lo, hi)
+/// (logical indices; halo rows/planes at negative ones) — see
+/// for_each_row(). 2-D/3-D transforms include the *halo rows/planes*:
+/// kernels read y/z-neighbours of boundary rows through layout-aware
+/// views, so every row a kernel can touch must be in the same layout
+/// (column halo stays in original order — tl_index maps it to itself). A
+/// 1-D field's outermost axis is x, so there the range selects the blocks
+/// that start in it. Disjoint ranges touch disjoint blocks and may run
+/// concurrently: the pool-parallel to_resident_layout splits the range
+/// over the placement map, each worker transforming its own tiles.
+template <int W, class G>
+inline void grid_transpose_layout(const G& g, int lo, int hi) {
+  const auto v = g.view();
+  for_each_row(v, lo, hi, v.halo(), [&](int x0, int x1, bool, double* row) {
+    row_transpose_layout<W>(row, v.nx(), x0, x1);
+  });
 }
 
-/// 2-D/3-D transforms include the *halo rows/planes*: kernels read
-/// y/z-neighbours of boundary rows through layout-aware views, so every row
-/// a kernel can touch must be in the same layout. (Column halo stays in
-/// original order — tl_index maps it to itself.)
-template <int W>
-inline void grid_transpose_layout(const FieldView2D& g) {
-  for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    row_transpose_layout<W>(g.row(y), g.nx());
+/// Transforms the whole field, halo rows/planes included.
+template <int W, class G>
+inline void grid_transpose_layout(const G& g) {
+  const auto v = g.view();
+  grid_transpose_layout<W>(v, -v.halo(), v.outer_extent() + v.halo());
 }
 
-template <int W>
-inline void grid_transpose_layout(const FieldView3D& g) {
-  for (int z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_transpose_layout<W>(g.row(z, y), g.nx());
+/// Runtime-width dispatch (W in {1,4,8}; W = 1 is a no-op) of the range
+/// form of grid_transpose_layout().
+template <int D>
+void apply_transpose_layout(const FieldView<D>& g, int w, int lo, int hi);
+
+/// Runtime-width dispatch of the whole-field grid_transpose_layout().
+template <int D>
+void apply_transpose_layout(const FieldView<D>& g, int w) {
+  apply_transpose_layout(g, w, -g.halo(), g.outer_extent() + g.halo());
 }
-
-/// Row-range form of the 2-D transform: transposes rows y in [y0, y1) only
-/// (logical indices; halo rows at negative y). Rows are independent, so
-/// disjoint ranges may run concurrently — the pool-parallel
-/// to_resident_layout splits the row space over the placement map with each
-/// worker transforming the rows of its own tiles.
-template <int W>
-inline void grid_transpose_layout_rows(const FieldView2D& g, int y0, int y1) {
-  for (int y = y0; y < y1; ++y)
-    row_transpose_layout<W>(g.row(y), g.nx());
-}
-
-/// Plane-range form of the 3-D transform: transposes planes z in [z0, z1)
-/// only (logical indices; halo planes at negative z). See
-/// grid_transpose_layout_rows().
-template <int W>
-inline void grid_transpose_layout_planes(const FieldView3D& g, int z0,
-                                         int z1) {
-  for (int z = z0; z < z1; ++z)
-    for (int y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      row_transpose_layout<W>(g.row(z, y), g.nx());
-}
-
-/// Runtime-width dispatch (W in {1,4,8}); W = 1 is a no-op.
-void apply_transpose_layout(const FieldView1D& g, int w);
-void apply_transpose_layout(const FieldView2D& g, int w);
-void apply_transpose_layout(const FieldView3D& g, int w);
-
-/// Runtime-width dispatch of grid_transpose_layout_rows().
-void apply_transpose_layout_rows(const FieldView2D& g, int w, int y0, int y1);
-/// Runtime-width dispatch of grid_transpose_layout_planes().
-void apply_transpose_layout_planes(const FieldView3D& g, int w, int z0,
-                                   int z1);
 
 }  // namespace sf

@@ -9,7 +9,9 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/env.hpp"
@@ -45,10 +47,8 @@ double seconds_between(Clock::time_point t0, Clock::time_point t1) {
 /// itself is allocated.
 struct Request {
   PreparedStencil ps;
-  int dims = 0;
-  FieldView1D a1, b1, k1;
-  FieldView2D a2, b2;
-  FieldView3D a3, b3;
+  std::variant<TileBatch1D, TileBatch2D, TileBatch3D> item;
+  FieldView1D k;  // what a 1-D item's source pointer points at
   int nsteps = 0;
   std::string tenant;
   std::uint64_t plan = 0;  // the handle's plan_key (tenant plan budget)
@@ -219,6 +219,17 @@ struct Server::Impl {
     return p.get_future();
   }
 
+  /// Admits `req`, or — when submit() could not build one — rejects the
+  /// submission as a bad request explained by `why`.
+  std::future<ServeResult> admit_or_reject(Request* req,
+                                           const std::string& why) {
+    if (req != nullptr) return admit(req);
+    // relaxed: stats tally (see reject()).
+    n_submitted.fetch_add(1, std::memory_order_relaxed);
+    t_submitted.add(1);
+    return reject(Reject::BadRequest, why);
+  }
+
   /// Admission + enqueue shared by every submit() overload. Takes ownership
   /// of `req` (deletes it on rejection).
   std::future<ServeResult> admit(Request* req) {
@@ -321,31 +332,17 @@ struct Server::Impl {
     try {
       Request& lead = *group[0];
       // Group members share a plan key, so any member's handle describes
-      // the whole group's geometry and pool; execute through the leader's.
-      switch (lead.dims) {
-        case 1: {
-          std::vector<TileBatch1D> items;
-          items.reserve(group.size());
-          for (Request* r : group)
-            items.push_back({r->a1, r->b1, r->k1.valid() ? &r->k1 : nullptr});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        case 2: {
-          std::vector<TileBatch2D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a2, r->b2});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-        default: {
-          std::vector<TileBatch3D> items;
-          items.reserve(group.size());
-          for (Request* r : group) items.push_back({r->a3, r->b3});
-          lead.ps.advance_batch(items, lead.nsteps);
-          break;
-        }
-      }
+      // the whole group's geometry, dimensionality and pool; execute
+      // through the leader's.
+      std::visit(
+          [&](const auto& lead_item) {
+            using Item = std::decay_t<decltype(lead_item)>;
+            std::vector<Item> items;
+            items.reserve(group.size());
+            for (Request* r : group) items.push_back(std::get<Item>(r->item));
+            lead.ps.advance_batch(items, lead.nsteps);
+          },
+          lead.item);
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -497,16 +494,32 @@ Server::~Server() {
 
 namespace {
 
-/// Builds the request record common to every overload; returns null and a
-/// rejection message when validation fails.
+/// Builds the request record of one submission; returns null and a
+/// rejection message when the handle or the views fail validation.
+template <int D>
 Request* make_request(const std::string& tenant, const PreparedStencil& ps,
-                      int nsteps, std::string* why) {
+                      const FieldView<D>& a, const FieldView<D>& b,
+                      const FieldView<D>* k, int nsteps, std::string* why) {
   if (!ps.valid()) {
     *why = "empty PreparedStencil handle";
     return nullptr;
   }
+  try {
+    ps.validate_views(a, b, k);
+  } catch (const std::invalid_argument& e) {
+    *why = e.what();
+    return nullptr;
+  }
   Request* r = new Request;
   r->ps = ps;
+  TileBatch<D> item{a, b, nullptr};
+  if constexpr (D == 1) {
+    if (k != nullptr) {
+      r->k = *k;
+      item.k = &r->k;
+    }
+  }
+  r->item = item;
   r->tenant = tenant;
   r->nsteps = nsteps;
   r->plan = ps.plan_key();
@@ -530,27 +543,9 @@ std::future<ServeResult> Server::submit(const std::string& tenant,
                                         FieldView1D a, FieldView1D b,
                                         FieldView1D k, int nsteps) {
   std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b, k.valid() ? &k : nullptr);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 1;
-  r->a1 = a;
-  r->b1 = b;
-  r->k1 = k;
-  return impl_->admit(r);
+  Request* r = make_request<1>(tenant, ps, a, b, k.valid() ? &k : nullptr,
+                               nsteps, &why);
+  return impl_->admit_or_reject(r, why);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
@@ -558,26 +553,8 @@ std::future<ServeResult> Server::submit(const std::string& tenant,
                                         FieldView2D a, FieldView2D b,
                                         int nsteps) {
   std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 2;
-  r->a2 = a;
-  r->b2 = b;
-  return impl_->admit(r);
+  Request* r = make_request<2>(tenant, ps, a, b, nullptr, nsteps, &why);
+  return impl_->admit_or_reject(r, why);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
@@ -585,26 +562,8 @@ std::future<ServeResult> Server::submit(const std::string& tenant,
                                         FieldView3D a, FieldView3D b,
                                         int nsteps) {
   std::string why;
-  Request* r = make_request(tenant, ps, nsteps, &why);
-  if (r != nullptr) {
-    try {
-      ps.validate_views(a, b);
-    } catch (const std::invalid_argument& e) {
-      delete r;
-      r = nullptr;
-      why = e.what();
-    }
-  }
-  if (r == nullptr) {
-    // relaxed: stats tally (see Impl::reject()).
-    impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
-    impl_->t_submitted.add(1);
-    return impl_->reject(Reject::BadRequest, why);
-  }
-  r->dims = 3;
-  r->a3 = a;
-  r->b3 = b;
-  return impl_->admit(r);
+  Request* r = make_request<3>(tenant, ps, a, b, nullptr, nsteps, &why);
+  return impl_->admit_or_reject(r, why);
 }
 
 void Server::drain() {

@@ -49,6 +49,14 @@ struct StencilSpec {
   long small_tsteps;
 
   int points() const;  // tap count (the "Pts" column of Table 1)
+
+  /// The D-dimensional pattern (p1, p2 or p3).
+  template <int D>
+  const Pattern<D>& pattern() const {
+    if constexpr (D == 1) return p1;
+    else if constexpr (D == 2) return p2;
+    else return p3;
+  }
 };
 
 /// All nine Table-1 stencils, in the paper's order.

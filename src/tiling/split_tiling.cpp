@@ -361,224 +361,115 @@ void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
   }
 }
 
-/// `serial` forces the whole run onto the calling thread (no pool
-/// dispatch): the batched entry runs each item this way on the pool worker
-/// that owns it, so nested stage parallelism (and the arena races a nested
-/// inline run() would cause for the 3-D folded window) never arises. The
-/// wedge geometry is negotiated identically either way, so serial and
-/// pooled runs are bitwise identical.
+// ---------------------------------------------------------------------------
+// Region kernels: the only tiling code that differs per dimension
+// ---------------------------------------------------------------------------
+
+/// Stage<W, D> binds the per-run operands of the region kernels and offers
+/// step(in, out, lo, hi, worker) — one super-step of the run's method over
+/// [lo, hi) of the tiled (outermost) axis — plus remainder(in, out), the
+/// plain single step of the folded remainder over the whole domain, and
+/// transposed(method), whether the method works in the register-transpose
+/// layout.
+template <int W, int D>
+struct Stage;
+
+/// 1-D: "ours" and "ours-2step" both step transposed rows; the APOP source
+/// term rides along (a resident source array is read zero-copy, anything
+/// else through a staged private copy in the working layout).
 template <int W>
-void tiled1d_impl(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-                  const FieldView1D* k, int tsteps, const TiledOptions& opt,
-                  bool serial = false) {
-  const int n = a.n();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
+struct Stage<W, 1> {
+  const Pattern1D& p;
+  Method method;
+  const Pattern1D* src;
+  const FieldView1D* k;
+  StagedSource1D<W> ks;
+  Pattern1D lam, fsrc;
 
-  // Layout setup. Transposed-resident views (core/engine.hpp) are already
-  // in layout — skip the per-run involution, and read a resident source
-  // array zero-copy instead of through a transformed private copy.
-  const bool tl = mth == Method::Ours || mth == Method::Ours2;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-  StagedSource1D<W> ks(k, /*to_layout=*/tl);
-  const double* kk = ks.data;
-  if (tl && !resident) grid_transpose_layout<W>(a);
-
-  const Pattern1D lam = power(p, 2);
-  Pattern1D fsrc;
-  if (src != nullptr) fsrc = compose(power_sum(p, 2), *src);
-
-  const int n_tiled = n;
-  const int slope_local = m * r;
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(n_tiled, slope_local, super, opt, m,
-                          sizeof(double));
-  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  auto adv = [&](const FieldView1D& in, const FieldView1D& out, int lo, int hi,
-                 int) {
-    switch (mth) {
+  Stage(const Pattern1D& p_, Method m, WorkerPool*, const Pattern1D* src_,
+        const FieldView1D* k_, bool tl)
+      : p(p_), method(m), src(src_), k(k_), ks(k_, /*to_layout=*/tl),
+        lam(power(p_, 2)) {
+    if (src != nullptr) fsrc = compose(power_sum(p, 2), *src);
+  }
+  static bool transposed(Method m) {
+    return m == Method::Ours || m == Method::Ours2;
+  }
+  void step(const FieldView1D& in, const FieldView1D& out, int lo, int hi,
+            int) const {
+    switch (method) {
       case Method::Ours:
-        tl_region_step_1d<W>(p, src, kk, n, in.data(), out.data(), lo, hi);
+        tl_region_step_1d<W>(p, src, ks.data, in.n(), in.data(), out.data(),
+                             lo, hi);
         break;
       case Method::Ours2:
-        tl_folded_region_step_1d<W>(p, lam, src, src != nullptr ? &fsrc : nullptr,
-                                    kk, n, in.data(), out.data(), lo, hi);
+        tl_folded_region_step_1d<W>(p, lam, src,
+                                    src != nullptr ? &fsrc : nullptr, ks.data,
+                                    in.n(), in.data(), out.data(), lo, hi);
         break;
       default:
         apply_pattern(p, in, out, lo, hi);
-        if (src != nullptr && k != nullptr) {
-          // Source reads must match the active layout (none here: Naive).
-          add_source(*src, *k, out, lo, hi);
-        }
+        // Source reads must match the active layout (none here: Naive).
+        if (src != nullptr && k != nullptr) add_source(*src, *k, out, lo, hi);
         break;
     }
-  };
-
-  int cursor = 0;
-  if (w.blocked) {
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get());
-  } else {
-    // Domain too small to tile: plain full sweeps.
-    const FieldView1D* bufs[2] = {&a, &b};
-    for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, n_tiled, -1);
-      cursor ^= 1;
-    }
   }
-  // Remainder single steps (folded runs only).
-  const FieldView1D* bufs[2] = {&a, &b};
-  for (int t = 0; t < rem; ++t) {
-    tl_region_step_1d<W>(p, src, kk, n, bufs[cursor]->data(),
-                         bufs[cursor ^ 1]->data(), 0, n);
-    cursor ^= 1;
+  void remainder(const FieldView1D& in, const FieldView1D& out) const {
+    tl_region_step_1d<W>(p, src, ks.data, in.n(), in.data(), out.data(), 0,
+                         in.n());
   }
-  if (cursor != 0) copy_interior(b, a);
+};
 
-  if (tl && !resident) grid_transpose_layout<W>(a);
-}
-
-// ---------------------------------------------------------------------------
-// 2-D (tiled dimension: y, rows [lo, hi))
-// ---------------------------------------------------------------------------
-/// `serial`: see tiled1d_impl().
+/// 2-D: tiles rows; "ours-2step" folds natural-layout rows.
 template <int W>
-void tiled2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
-  const int ny = a.ny(), nx = a.nx();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
+struct Stage<W, 2> {
+  const Pattern2D& p;
+  Method method;
+  FoldingPlan fold;
+  Pattern2D lam;
 
-  const bool tl = mth == Method::Ours;
-  const bool dlt = mth == Method::DLT;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(ny, m * r, super, opt, m,
-                          sizeof(double) * static_cast<long>(nx));
-  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  // Pipelined blocked runs fold the to-layout transform into the schedule
-  // itself (each worker transposes its own rows as the wedge prologue — see
-  // wedge_schedule) instead of serializing it in front of the first stage.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
-  if (tl && !resident && !overlap_layout) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_to_dlt(a, W);
-    grid_to_dlt(b, W);
-  }
-
-  const FoldingPlan plan = mth == Method::Ours2 ? plan_folding(p, 2) : FoldingPlan{};
-  const Pattern2D lam = power(p, 2);
-
-  auto adv = [&](const FieldView2D& in, const FieldView2D& out, int lo, int hi,
-                 int) {
-    switch (mth) {
-      case Method::Ours:
-        step_rows_tl2d<W>(p, in, out, lo, hi);
-        break;
+  Stage(const Pattern2D& p_, Method m, WorkerPool*, const Pattern1D*,
+        const FieldView2D*, bool)
+      : p(p_), method(m),
+        fold(m == Method::Ours2 ? plan_folding(p_, 2) : FoldingPlan{}),
+        lam(power(p_, 2)) {}
+  static bool transposed(Method m) { return m == Method::Ours; }
+  void step(const FieldView2D& in, const FieldView2D& out, int lo, int hi,
+            int) const {
+    switch (method) {
+      case Method::Ours: step_rows_tl2d<W>(p, in, out, lo, hi); break;
       case Method::Ours2:
-        folded2d_advance<W>(p, plan, lam, in, out, /*reuse=*/true, lo, hi);
+        folded2d_advance<W>(p, fold, lam, in, out, /*reuse=*/true, lo, hi);
         break;
-      case Method::DLT:
-        step_rows_dlt2d<W>(p, in, out, lo, hi);
-        break;
-      default:
-        apply_pattern(p, in, out, lo, hi, 0, nx);
-        break;
-    }
-  };
-
-  int cursor = 0;
-  if (w.blocked) {
-    std::function<void(int, int, int)> prologue;
-    if (overlap_layout) {
-      prologue = [&](int t0, int t1, int) {
-        if (t0 >= t1) return;
-        // Own rows plus the halo rows attached to the domain-end tiles:
-        // the up stage reads y-neighbours of boundary rows, and both
-        // parity buffers serve as the read level at some stage.
-        const int y0 = t0 == 0 ? -a.halo() : t0 * w.tile;
-        const int y1 = t1 * w.tile >= ny ? ny + a.halo() : t1 * w.tile;
-        grid_transpose_layout_rows<W>(a, y0, y1);
-        grid_transpose_layout_rows<W>(b, y0, y1);
-      };
-    }
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get(), prologue);
-  } else {
-    const FieldView2D* bufs[2] = {&a, &b};
-    for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, ny, -1);
-      cursor ^= 1;
+      case Method::DLT: step_rows_dlt2d<W>(p, in, out, lo, hi); break;
+      default: apply_pattern(p, in, out, lo, hi, 0, in.nx()); break;
     }
   }
-  const FieldView2D* bufs[2] = {&a, &b};
-  for (int t = 0; t < rem; ++t) {
-    step_region_ml2d<W>(p, *bufs[cursor], *bufs[cursor ^ 1], 0, ny, 0, nx);
-    cursor ^= 1;
+  void remainder(const FieldView2D& in, const FieldView2D& out) const {
+    step_region_ml2d<W>(p, in, out, 0, in.ny(), 0, in.nx());
   }
-  if (cursor != 0) copy_interior(b, a);
+};
 
-  if (tl && !resident) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_from_dlt(a, W);
-    grid_from_dlt(b, W);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 3-D (tiled dimension: z, planes [lo, hi))
-// ---------------------------------------------------------------------------
-/// `serial`: see tiled1d_impl().
+/// 3-D: tiles planes; "ours-2step" folds natural-layout planes through a
+/// sliding plane window.
 template <int W>
-void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                  const TiledOptions& opt, bool serial = false) {
-  const int nz = a.nz(), ny = a.ny(), nx = a.nx();
-  const int r = p.radius();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
+struct Stage<W, 3> {
+  const Pattern3D& p;
+  Method method;
+  WorkerPool* pool;
+  FoldingPlan fold;
+  Pattern3D lam;
 
-  const bool tl = mth == Method::Ours;
-  const bool dlt = mth == Method::DLT;
-  const bool resident = tl && a.layout() == Layout::Transposed;
-
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
-  WedgePlan w = make_plan(
-      nz, m * r, super, opt, m,
-      sizeof(double) * static_cast<long>(ny) * static_cast<long>(nx));
-  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
-
-  // See tiled2d_impl: pipelined blocked runs transpose per worker inside
-  // the schedule prologue instead of upfront.
-  const bool overlap_layout =
-      tl && !resident && w.blocked && pipelined_schedule(w, pool.get());
-  if (tl && !resident && !overlap_layout) {
-    grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_to_dlt(a, W);
-    grid_to_dlt(b, W);
-  }
-
-  const FoldingPlan plan = mth == Method::Ours2 ? plan_folding(p, 2) : FoldingPlan{};
-  const Pattern3D lam = power(p, 2);
-
-  auto adv = [&](const FieldView3D& in, const FieldView3D& out, int lo, int hi,
-                 int wk) {
-    switch (mth) {
-      case Method::Ours:
-        step_planes_tl3d<W>(p, in, out, lo, hi);
-        break;
+  Stage(const Pattern3D& p_, Method m, WorkerPool* pool_, const Pattern1D*,
+        const FieldView3D*, bool)
+      : p(p_), method(m), pool(pool_),
+        fold(m == Method::Ours2 ? plan_folding(p_, 2) : FoldingPlan{}),
+        lam(power(p_, 2)) {}
+  static bool transposed(Method m) { return m == Method::Ours; }
+  void step(const FieldView3D& in, const FieldView3D& out, int lo, int hi,
+            int wk) const {
+    switch (method) {
+      case Method::Ours: step_planes_tl3d<W>(p, in, out, lo, hi); break;
       case Method::Ours2: {
         // The sliding plane window lives in the owning worker's pool arena
         // (allocated there, so its pages sit on the worker's NUMA node;
@@ -587,30 +478,90 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
         thread_local std::vector<AlignedBuffer> tls_window;
         std::vector<AlignedBuffer>& window =
             pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
-        folded3d_advance<W>(p, plan, lam, in, out, window, lo, hi);
+        folded3d_advance<W>(p, fold, lam, in, out, window, lo, hi);
         break;
       }
-      case Method::DLT:
-        step_planes_dlt3d<W>(p, in, out, lo, hi);
-        break;
+      case Method::DLT: step_planes_dlt3d<W>(p, in, out, lo, hi); break;
       default:
-        apply_pattern(p, in, out, lo, hi, 0, ny, 0, nx);
+        apply_pattern(p, in, out, lo, hi, 0, in.ny(), 0, in.nx());
         break;
     }
-  };
+  }
+  void remainder(const FieldView3D& in, const FieldView3D& out) const {
+    step_region_ml3d<W>(p, in, out, 0, in.nz(), 0, in.ny(), 0, in.nx());
+  }
+};
+
+// ---------------------------------------------------------------------------
+// The tiled driver, written once over D
+// ---------------------------------------------------------------------------
+
+/// Runs `tsteps` steps split-tiled along the outermost axis (x in 1-D, y in
+/// 2-D, z in 3-D): layout setup, the wedge schedule, the folded remainder
+/// and the copy-back, with Stage<W, D> supplying the region kernels.
+///
+/// `serial` forces the whole run onto the calling thread (no pool
+/// dispatch): the batched entry runs each item this way on the pool worker
+/// that owns it, so nested stage parallelism (and the arena races a nested
+/// inline run() would cause for the 3-D folded window) never arises. The
+/// wedge geometry is negotiated identically either way, so serial and
+/// pooled runs are bitwise identical.
+template <int W, int D>
+void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
+                const FieldView<D>& b, const Pattern1D* src,
+                const FieldView<D>* k, int tsteps, const TilePlan& opt,
+                bool serial) {
+  const int n = a.outer_extent();
+  const Method mth = opt.method;
+  const int m = mth == Method::Ours2 ? 2 : 1;
+  const int super = tsteps / m;
+  const int rem = tsteps - super * m;
+  long slice_bytes = sizeof(double);
+  for (int ax = 0; ax + 1 < D; ++ax) slice_bytes *= a.extent(ax);
+  const WedgePlan w = make_plan(n, m * p.radius(), super, opt, m, slice_bytes);
+  const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
+
+  // Layout setup. Transposed-resident views (core/engine.hpp) are already
+  // in layout — skip the per-run involution. Above 1-D the halo rows of
+  // both buffers are transformed too (kernels read y/z-neighbours of
+  // boundary rows in layout); a 1-D row keeps its halo in natural order and
+  // its kernels write every interior cell of `b` before reading it, so `b`
+  // stays natural there. Pipelined blocked runs above 1-D fold the
+  // to-layout transform into the schedule itself (each worker transposes
+  // its own rows as the wedge prologue — see wedge_schedule) instead of
+  // serializing it in front of the first stage; 1-D W*W blocks straddle
+  // tile boundaries, so a 1-D row is transformed upfront.
+  const bool tl = Stage<W, D>::transposed(mth);
+  const bool dlt = mth == Method::DLT;
+  const bool transform = tl && a.layout() != Layout::Transposed;
+  const bool overlap_layout =
+      transform && D > 1 && w.blocked && pipelined_schedule(w, pool.get());
+  if (transform && !overlap_layout) {
+    grid_transpose_layout<W>(a);
+    if (D > 1) grid_transpose_layout<W>(b);
+  } else if (dlt) {
+    grid_to_dlt(a, W);
+    grid_to_dlt(b, W);
+  }
+  const Stage<W, D> stage(p, mth, pool.get(), src, k, tl);
+  auto adv = [&](const FieldView<D>& in, const FieldView<D>& out, int lo,
+                 int hi, int wk) { stage.step(in, out, lo, hi, wk); };
 
   int cursor = 0;
   if (w.blocked) {
-    // Pipelined folded runs first-touch the per-worker plane window in the
-    // prologue slot that already overlaps the first super-step — the same
-    // down(0) transitive wait orders it, so no extra sync edge and no
+    // Pipelined 3-D folded runs first-touch the per-worker plane window in
+    // the prologue slot that already overlaps the first super-step — the
+    // same down(0) transitive wait orders it, so no extra sync edge and no
     // separate pool dispatch ahead of the run (Engine::prepare only
     // pre-sizes arenas for barrier-mode plans).
-    const bool overlap_arena = mth == Method::Ours2 && pool != nullptr &&
-                               pipelined_schedule(w, pool.get());
-    const detail::Folded3DWindowShape window_shape =
-        overlap_arena ? detail::folded3d_window_shape(plan, nx, W)
-                      : detail::Folded3DWindowShape{};
+    bool overlap_arena = false;
+    detail::Folded3DWindowShape window_shape;
+    if constexpr (D == 3) {
+      overlap_arena = mth == Method::Ours2 && pool != nullptr &&
+                      pipelined_schedule(w, pool.get());
+      if (overlap_arena)
+        window_shape = detail::folded3d_window_shape(stage.fold, a.nx(), W);
+    }
     std::function<void(int, int, int)> prologue;
     if (overlap_layout || overlap_arena) {
       prologue = [&](int t0, int t1, int wk) {
@@ -618,33 +569,70 @@ void tiled3d_impl(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b
           pool->ensure_arena_local(wk, window_shape.nbufs,
                                    window_shape.doubles);
         if (!overlap_layout || t0 >= t1) return;
-        const int z0 = t0 == 0 ? -a.halo() : t0 * w.tile;
-        const int z1 = t1 * w.tile >= nz ? nz + a.halo() : t1 * w.tile;
-        grid_transpose_layout_planes<W>(a, z0, z1);
-        grid_transpose_layout_planes<W>(b, z0, z1);
+        // Own rows plus the halo rows attached to the domain-end tiles:
+        // the up stage reads neighbours of boundary rows, and both parity
+        // buffers serve as the read level at some stage.
+        const int lo = t0 == 0 ? -a.halo() : t0 * w.tile;
+        const int hi = t1 * w.tile >= n ? n + a.halo() : t1 * w.tile;
+        grid_transpose_layout<W>(a, lo, hi);
+        grid_transpose_layout<W>(b, lo, hi);
       };
     }
     cursor = wedge_schedule(a, b, w, super, adv, pool.get(), prologue);
   } else {
-    const FieldView3D* bufs[2] = {&a, &b};
+    // Domain too small to tile: plain full sweeps.
+    const FieldView<D>* bufs[2] = {&a, &b};
     for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, nz, -1);
+      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, n, -1);
       cursor ^= 1;
     }
   }
-  const FieldView3D* bufs[2] = {&a, &b};
+  // Remainder single steps (folded runs only).
+  const FieldView<D>* bufs[2] = {&a, &b};
   for (int t = 0; t < rem; ++t) {
-    step_region_ml3d<W>(p, *bufs[cursor], *bufs[cursor ^ 1], 0, nz, 0, ny, 0, nx);
+    stage.remainder(*bufs[cursor], *bufs[cursor ^ 1]);
     cursor ^= 1;
   }
   if (cursor != 0) copy_interior(b, a);
 
-  if (tl && !resident) {
+  if (transform) {
     grid_transpose_layout<W>(a);
-    grid_transpose_layout<W>(b);
+    if (D > 1) grid_transpose_layout<W>(b);
   } else if (dlt) {
     grid_from_dlt(a, W);
     grid_from_dlt(b, W);
+  }
+}
+
+/// Whether the plan's tiled stage engages for this pattern and row extent
+/// (see tiled_path_engages).
+template <int D>
+bool stage_engages(const Pattern<D>& p, const Pattern1D* src, long nx,
+                   const TilePlan& plan) {
+  const KernelInfo* info = find_kernel(plan.method, D, plan.isa);
+  const int sr = src != nullptr ? src->radius() : 0;
+  return info != nullptr && tiled_path_engages(*info, p.radius(), sr, nx);
+}
+
+/// Runs one ping-pong pair: the tiled driver at the plan's SIMD width when
+/// the stage engages, the kernel's untiled executor otherwise. 1-D DLT never
+/// engages (tiled_max_radius = -1): the lifted layout's seam couples column
+/// 0 to column L-1 across lanes, so column tiles are not spatially local and
+/// concurrent wedges would race on the seam. SDSL-1D therefore runs the
+/// untiled lifted kernel (see DESIGN.md).
+template <int D>
+void run_pair(bool engages, const Pattern<D>& p, const FieldView<D>& a,
+              const FieldView<D>& b, const Pattern1D* src,
+              const FieldView<D>* k, int tsteps, const TilePlan& plan,
+              bool serial) {
+  if (!engages) {
+    require_kernel(plan.method, D, plan.isa).run(p, a, b, src, k, tsteps);
+    return;
+  }
+  switch (isa_width(resolve_isa(plan.isa))) {
+    case 8: tiled_impl<8>(p, a, b, src, k, tsteps, plan, serial); break;
+    case 4: tiled_impl<4>(p, a, b, src, k, tsteps, plan, serial); break;
+    default: tiled_impl<1>(p, a, b, src, k, tsteps, plan, serial); break;
   }
 }
 
@@ -698,166 +686,59 @@ bool tiled_path_engages(const KernelInfo& k, int radius, int src_radius,
   return true;
 }
 
-void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
-                   const Pattern1D* src, const FieldView1D* k, int tsteps,
-                   const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
-  const int sr = src != nullptr ? src->radius() : 0;
-  // 1-D DLT never engages (tiled_max_radius = -1): the lifted layout's seam
-  // couples column 0 to column L-1 across lanes, so column tiles are not
-  // spatially local and concurrent wedges would race on the seam. SDSL-1D
-  // therefore runs the untiled lifted kernel (see DESIGN.md).
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), sr, a.n())) {
-    kernel1d(plan.method, plan.isa)(p, a, b, src, k, tsteps);
-    return;
-  }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled1d_impl<8>(p, a, b, src, k, tsteps, plan); break;
-    case 4: tiled1d_impl<4>(p, a, b, src, k, tsteps, plan); break;
-    default: tiled1d_impl<1>(p, a, b, src, k, tsteps, plan); break;
-  }
+template <int D>
+void run_tile_plan(const Pattern<D>& p, const ViewArg<D>& a,
+                   const ViewArg<D>& b, const Pattern1D* src,
+                   const ViewArg<D>* k, int tsteps, const TilePlan& plan) {
+  run_pair(stage_engages(p, src, a.nx(), plan), p, a, b, src, k, tsteps, plan,
+           /*serial=*/false);
 }
 
-void run_tile_plan(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                   const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel2d(plan.method, plan.isa)(p, a, b, tsteps);
-    return;
-  }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled2d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled2d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled2d_impl<1>(p, a, b, tsteps, plan); break;
-  }
-}
-
-void run_tile_plan(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                   const TilePlan& plan) {
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  if (info == nullptr || !tiled_path_engages(*info, p.radius(), 0, a.nx())) {
-    kernel3d(plan.method, plan.isa)(p, a, b, tsteps);
-    return;
-  }
-  switch (isa_width(resolve_isa(plan.isa))) {
-    case 8: tiled3d_impl<8>(p, a, b, tsteps, plan); break;
-    case 4: tiled3d_impl<4>(p, a, b, tsteps, plan); break;
-    default: tiled3d_impl<1>(p, a, b, tsteps, plan); break;
-  }
-}
-
-namespace {
-
-/// The batch fan-out: one pool dispatch laying `nitems` over the shared
-/// (threads, affinity) pool with the balanced_placement() ownership map;
-/// `run_item(i)` executes item i's complete serial lifecycle on its owning
-/// worker. Single-worker or single-item batches run inline on the caller.
-void fan_out_items(std::size_t nitems, const TilePlan& plan,
-                   const std::function<void(int)>& run_item) {
-  const int threads =
-      plan.threads > 0 ? plan.threads : hardware_threads();
-  if (threads > 1 && nitems > 1) {
-    shared_pool(threads, plan.affinity)
-        ->parallel_for(0, static_cast<int>(nitems), run_item);
-  } else {
-    for (std::size_t i = 0; i < nitems; ++i)
-      run_item(static_cast<int>(i));
-  }
-}
-
-}  // namespace
-
-void run_tile_plan_batch(const Pattern1D& p, const std::vector<TileBatch1D>& items,
-                         const Pattern1D* src, int tsteps, const TilePlan& plan) {
+template <int D>
+void run_tile_plan_batch(const Pattern<D>& p,
+                         const std::vector<TileBatch<D>>& items,
+                         const Pattern1D* src, int tsteps,
+                         const TilePlan& plan) {
   if (items.empty()) return;
   if (items.size() == 1) {
     run_tile_plan(p, items[0].a, items[0].b, src, items[0].k, tsteps, plan);
     return;
   }
-  const KernelInfo* info = find_kernel(plan.method, 1, plan.isa);
-  const int sr = src != nullptr ? src->radius() : 0;
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), sr, items[0].a.n());
-  const int width = isa_width(resolve_isa(plan.isa));
-  fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch1D& it = items[static_cast<std::size_t>(i)];
-    if (!engages) {
-      kernel1d(plan.method, plan.isa)(p, it.a, it.b, src, it.k, tsteps);
-      return;
-    }
-    switch (width) {
-      case 8: tiled1d_impl<8>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      case 4: tiled1d_impl<4>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-      default: tiled1d_impl<1>(p, it.a, it.b, src, it.k, tsteps, plan, true); break;
-    }
-  });
+  const bool engages = stage_engages(p, src, items[0].a.nx(), plan);
+  // The batch fan-out: one pool dispatch laying the items over the shared
+  // (threads, affinity) pool with the balanced_placement() ownership map;
+  // each item's complete serial lifecycle runs on its owning worker.
+  auto run_item = [&](int i) {
+    const TileBatch<D>& it = items[static_cast<std::size_t>(i)];
+    run_pair(engages, p, it.a, it.b, src, it.k, tsteps, plan,
+             /*serial=*/true);
+  };
+  const int threads = plan.threads > 0 ? plan.threads : hardware_threads();
+  if (threads > 1)
+    shared_pool(threads, plan.affinity)
+        ->parallel_for(0, static_cast<int>(items.size()), run_item);
+  else
+    for (std::size_t i = 0; i < items.size(); ++i)
+      run_item(static_cast<int>(i));
 }
 
-void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& items,
-                         int tsteps, const TilePlan& plan) {
-  if (items.empty()) return;
-  if (items.size() == 1) {
-    run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
-    return;
-  }
-  const KernelInfo* info = find_kernel(plan.method, 2, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
-  fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch2D& it = items[static_cast<std::size_t>(i)];
-    if (!engages) {
-      kernel2d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
-      return;
-    }
-    switch (width) {
-      case 8: tiled2d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled2d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled2d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
-  });
-}
-
-void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& items,
-                         int tsteps, const TilePlan& plan) {
-  if (items.empty()) return;
-  if (items.size() == 1) {
-    run_tile_plan(p, items[0].a, items[0].b, tsteps, plan);
-    return;
-  }
-  const KernelInfo* info = find_kernel(plan.method, 3, plan.isa);
-  const bool engages =
-      info != nullptr && tiled_path_engages(*info, p.radius(), 0, items[0].a.nx());
-  const int width = isa_width(resolve_isa(plan.isa));
-  fan_out_items(items.size(), plan, [&](int i) {
-    const TileBatch3D& it = items[static_cast<std::size_t>(i)];
-    if (!engages) {
-      kernel3d(plan.method, plan.isa)(p, it.a, it.b, tsteps);
-      return;
-    }
-    switch (width) {
-      case 8: tiled3d_impl<8>(p, it.a, it.b, tsteps, plan, true); break;
-      case 4: tiled3d_impl<4>(p, it.a, it.b, tsteps, plan, true); break;
-      default: tiled3d_impl<1>(p, it.a, it.b, tsteps, plan, true); break;
-    }
-  });
-}
-
-// Deprecated shims: one release of grace for the pre-ExecutionPlan API.
-
-void run_tiled(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-               const FieldView1D* k, int tsteps, const TiledOptions& opt) {
-  run_tile_plan(p, a, b, src, k, tsteps, opt);
-}
-
-void run_tiled(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
-}
-
-void run_tiled(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-               const TiledOptions& opt) {
-  run_tile_plan(p, a, b, tsteps, opt);
-}
+template void run_tile_plan<1>(const Pattern1D&, const FieldView1D&,
+                                const FieldView1D&, const Pattern1D*,
+                                const FieldView1D*, int, const TilePlan&);
+template void run_tile_plan_batch<1>(const Pattern1D&,
+                                      const std::vector<TileBatch1D>&,
+                                      const Pattern1D*, int, const TilePlan&);
+template void run_tile_plan<2>(const Pattern2D&, const FieldView2D&,
+                                const FieldView2D&, const Pattern1D*,
+                                const FieldView2D*, int, const TilePlan&);
+template void run_tile_plan_batch<2>(const Pattern2D&,
+                                      const std::vector<TileBatch2D>&,
+                                      const Pattern1D*, int, const TilePlan&);
+template void run_tile_plan<3>(const Pattern3D&, const FieldView3D&,
+                                const FieldView3D&, const Pattern1D*,
+                                const FieldView3D*, int, const TilePlan&);
+template void run_tile_plan_batch<3>(const Pattern3D&,
+                                      const std::vector<TileBatch3D>&,
+                                      const Pattern1D*, int, const TilePlan&);
 
 }  // namespace sf

@@ -20,9 +20,10 @@
 /// (tile = 0, time_block = 0, threads = 0) it fills with the
 /// negotiate_wedge() heuristics. Deciding *whether* to tile — and feeding
 /// tuned geometry back in — is the job of the ExecutionPlan layer
-/// (core/execution_plan.hpp), which `Solver::run` drives. The historical
-/// `run_tiled`/`TiledOptions` entry points remain as deprecated shims over
-/// the same engine.
+/// (core/execution_plan.hpp), which `Solver::run` drives.
+///
+/// The driver is written once over the dimensionality D (FieldView<D>,
+/// grid/field_view.hpp); only the region kernels differ per dimension.
 #pragma once
 
 #include <vector>
@@ -84,11 +85,6 @@ struct TilePlan {
   ///< telemetry reports tree runs separately.
 };
 
-/// \deprecated Old name of TilePlan, kept for one release. New code should
-/// spell TilePlan (and reach tiling through `Solver::tiling()` rather than
-/// run_tiled()).
-using TiledOptions = TilePlan;
-
 /// The concrete wedge geometry negotiate_wedge() settles on for one run.
 struct WedgeGeometry {
   int tile = 0;        ///< Tile extent along the tiled dimension.
@@ -137,42 +133,38 @@ WedgeGeometry negotiate_wedge(int n_tiled, int slope, int fold_m, int tsteps,
 bool tiled_path_engages(const KernelInfo& k, int radius, int src_radius,
                         long nx);
 
-/// Runs `tsteps` Jacobi steps with temporal split tiling; result in `a`.
-/// Geometry gaps in `plan` are negotiated (see negotiate_wedge); methods or
-/// shapes without an engaging tiled stage (see tiled_path_engages) fall
-/// back to the untiled kernel. The 1-D form optionally takes the APOP
-/// source pattern `src` over the time-invariant array `k`.
-void run_tile_plan(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b,
-                   const Pattern1D* src, const FieldView1D* k, int tsteps,
-                   const TilePlan& plan);
-/// 2-D overload of run_tile_plan(); tiles along y.
-void run_tile_plan(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                   const TilePlan& plan);
-/// 3-D overload of run_tile_plan(); tiles along z.
-void run_tile_plan(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-                   const TilePlan& plan);
+/// Runs `tsteps` Jacobi steps with temporal split tiling along the
+/// outermost axis (x in 1-D, y in 2-D, z in 3-D); result in `a`. Geometry
+/// gaps in `plan` are negotiated (see negotiate_wedge); methods or shapes
+/// without an engaging tiled stage (see tiled_path_engages) fall back to
+/// the untiled kernel. `src` over the time-invariant array `k` is the 1-D
+/// APOP source term (null otherwise). D comes from the pattern, so Grids
+/// convert to the view parameters.
+template <int D>
+void run_tile_plan(const Pattern<D>& p, const ViewArg<D>& a,
+                   const ViewArg<D>& b, const Pattern1D* src,
+                   const ViewArg<D>* k, int tsteps, const TilePlan& plan);
 
-/// One grid of a batched 1-D tiling run: the ping/pong buffer pair plus the
-/// optional per-item APOP source array (`k` null when the pattern has no
-/// source term). All items of one batch share the Pattern and TilePlan but
-/// own distinct buffers.
-struct TileBatch1D {
-  FieldView1D a;                   ///< Ping buffer; holds the result.
-  FieldView1D b;                   ///< Pong buffer.
-  const FieldView1D* k = nullptr;  ///< Optional time-invariant source array.
-};
+/// Source-free form of run_tile_plan().
+template <int D>
+void run_tile_plan(const Pattern<D>& p, const ViewArg<D>& a,
+                   const ViewArg<D>& b, int tsteps, const TilePlan& plan) {
+  run_tile_plan(p, a, b, nullptr, nullptr, tsteps, plan);
+}
 
-/// One grid of a batched 2-D tiling run (ping/pong buffer pair).
-struct TileBatch2D {
-  FieldView2D a;  ///< Ping buffer; holds the result.
-  FieldView2D b;  ///< Pong buffer.
+/// One grid of a batched tiling run: the ping/pong buffer pair plus, in
+/// 1-D, the optional per-item APOP source array (`k` null when the pattern
+/// has no source term). All items of one batch share the Pattern and
+/// TilePlan but own distinct buffers.
+template <int D>
+struct TileBatch {
+  FieldView<D> a;                   ///< Ping buffer; holds the result.
+  FieldView<D> b;                   ///< Pong buffer.
+  const FieldView<D>* k = nullptr;  ///< Optional time-invariant source array.
 };
-
-/// One grid of a batched 3-D tiling run (ping/pong buffer pair).
-struct TileBatch3D {
-  FieldView3D a;  ///< Ping buffer; holds the result.
-  FieldView3D b;  ///< Pong buffer.
-};
+using TileBatch1D = TileBatch<1>;  ///< One item of a 1-D batch.
+using TileBatch2D = TileBatch<2>;  ///< One item of a 2-D batch.
+using TileBatch3D = TileBatch<3>;  ///< One item of a 3-D batch.
 
 /// Advances every item of `items` by `tsteps` Jacobi steps in *one* pool
 /// dispatch: the batch is laid over the shared (threads, affinity) pool
@@ -188,28 +180,21 @@ struct TileBatch3D {
 /// to running run_tile_plan() on each item sequentially: each item executes
 /// the same negotiated wedge geometry and region math, merely on one worker
 /// instead of spread over the pool. A single-item batch degrades to exactly
-/// run_tile_plan(). The 1-D form optionally takes the APOP source pattern
-/// `src` read through each item's own `k` array.
-void run_tile_plan_batch(const Pattern1D& p, const std::vector<TileBatch1D>& items,
-                         const Pattern1D* src, int tsteps, const TilePlan& plan);
-/// 2-D overload of run_tile_plan_batch(); tiles along y.
-void run_tile_plan_batch(const Pattern2D& p, const std::vector<TileBatch2D>& items,
-                         int tsteps, const TilePlan& plan);
-/// 3-D overload of run_tile_plan_batch(); tiles along z.
-void run_tile_plan_batch(const Pattern3D& p, const std::vector<TileBatch3D>& items,
-                         int tsteps, const TilePlan& plan);
+/// run_tile_plan(). `src` is the 1-D APOP source pattern, read through each
+/// item's own `k` array.
+template <int D>
+void run_tile_plan_batch(const Pattern<D>& p,
+                         const std::vector<TileBatch<D>>& items,
+                         const Pattern1D* src, int tsteps,
+                         const TilePlan& plan);
 
-/// \deprecated Shim over run_tile_plan(), kept for one release. New code
-/// runs tiled through `Solver::tiling()` (Solver-owned grids) or
-/// run_tile_plan() (caller-owned grids).
-void run_tiled(const Pattern1D& p, const FieldView1D& a, const FieldView1D& b, const Pattern1D* src,
-               const FieldView1D* k, int tsteps, const TiledOptions& opt);
-/// \deprecated 2-D shim over run_tile_plan(), kept for one release.
-void run_tiled(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-               const TiledOptions& opt);
-/// \deprecated 3-D shim over run_tile_plan(), kept for one release.
-void run_tiled(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps,
-               const TiledOptions& opt);
+/// Source-free form of run_tile_plan_batch().
+template <int D>
+void run_tile_plan_batch(const Pattern<D>& p,
+                         const std::vector<TileBatch<D>>& items, int tsteps,
+                         const TilePlan& plan) {
+  run_tile_plan_batch(p, items, nullptr, tsteps, plan);
+}
 
 /// The per-element update levels after one up-stage (triangles) and one
 /// down-stage (inverted triangles) of the Fig. 7 tessellation; used by tests

@@ -1,12 +1,11 @@
 // Public API: every (preset x method x tiled) combination must verify
 // against the reference through the same entry point the benchmarks use —
-// now the Solver facade; the deprecated ProblemConfig shims are covered by
-// a separate back-compat test below.
+// the Solver facade.
 #include <gtest/gtest.h>
 
 #include <cctype>
 
-#include "core/problem.hpp"
+#include "core/solver.hpp"
 
 namespace sf {
 namespace {
@@ -72,81 +71,6 @@ TEST(CoreApi, GflopsConsistentAcrossMethods) {
                     .method(Method::Ours2)
                     .run();
   EXPECT_NEAR(a.gflops * a.seconds, b.gflops * b.seconds, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated ProblemConfig shims (kept for one release).
-// ---------------------------------------------------------------------------
-
-TEST(LegacyShims, ResolveFillsDefaults) {
-  ProblemConfig cfg;
-  cfg.preset = Preset::Heat3D;
-  ProblemConfig r = resolve(cfg);
-  EXPECT_EQ(r.nx, preset(Preset::Heat3D).small_size[0]);
-  EXPECT_EQ(r.nz, preset(Preset::Heat3D).small_size[2]);
-  EXPECT_GT(r.tsteps, 0);
-  EXPECT_EQ(r.tile_opts.method, r.method);
-}
-
-TEST(LegacyShims, ResolvePreservesTileOptions) {
-  ProblemConfig cfg;
-  cfg.preset = Preset::Heat2D;
-  cfg.method = Method::Ours;
-  cfg.isa = Isa::Avx2;
-  cfg.tile_opts.tile = 37;
-  cfg.tile_opts.time_block = 5;
-  cfg.tile_opts.threads = 2;
-  ProblemConfig r = resolve(cfg);
-  EXPECT_EQ(r.tile_opts.tile, 37);
-  EXPECT_EQ(r.tile_opts.time_block, 5);
-  EXPECT_EQ(r.tile_opts.threads, 2);
-  // method/isa are stamped from the problem-level choice.
-  EXPECT_EQ(r.tile_opts.method, Method::Ours);
-  EXPECT_EQ(r.tile_opts.isa, Isa::Avx2);
-}
-
-TEST(LegacyShims, ResolveDefaultsPerDimensionality) {
-  for (Preset p : {Preset::Heat1D, Preset::Box2D9, Preset::Box3D27}) {
-    const auto& spec = preset(p);
-    ProblemConfig cfg;
-    cfg.preset = p;
-    ProblemConfig r = resolve(cfg);
-    EXPECT_EQ(r.nx, spec.small_size[0]) << spec.name;
-    EXPECT_EQ(r.ny, spec.dims >= 2 ? spec.small_size[1] : 1) << spec.name;
-    EXPECT_EQ(r.nz, spec.dims >= 3 ? spec.small_size[2] : 1) << spec.name;
-    EXPECT_EQ(r.tsteps, spec.small_tsteps) << spec.name;
-  }
-}
-
-TEST(LegacyShims, UntiledConfigStaysUntiled) {
-  // tiled=false predates Tiling::Auto and must keep meaning "serial untiled
-  // kernel", even at production sizes the Auto cost model would tile.
-  // (Plan only — never allocated or run.)
-  ProblemConfig cfg;
-  cfg.preset = Preset::Heat2D;
-  cfg.nx = cfg.ny = 4096;
-  cfg.tsteps = 64;
-  cfg.tiled = false;
-  Solver s = make_solver(cfg);
-  EXPECT_FALSE(s.plan().tiled);
-}
-
-TEST(LegacyShims, RunProblemAndRunVerifiedStillWork) {
-  ProblemConfig cfg;
-  cfg.preset = Preset::Heat2D;
-  cfg.method = Method::Ours2;
-  cfg.nx = 64;
-  cfg.ny = 60;
-  cfg.tsteps = 6;
-  RunResult r = run_problem(cfg);
-  EXPECT_GT(r.gflops, 0.0);
-  EXPECT_EQ(r.points, 64 * 60);
-  EXPECT_EQ(r.tsteps, 6);
-  EXPECT_LT(r.max_error, 0.0);  // no verification requested
-
-  RunResult v = run_verified(cfg);
-  EXPECT_GE(v.max_error, 0.0);
-  EXPECT_LE(v.max_error, 1e-11);
 }
 
 TEST(CoreApi, FlopsAccountingMatchesTapCounts) {

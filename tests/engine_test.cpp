@@ -138,25 +138,6 @@ TEST(Engine, ScratchInteriorIsNeverRead) {
   EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)));
 }
 
-TEST(Engine, AdvanceStreamsStepwise) {
-  // advance(1) x T must equal one run(T) for a fold-free method (folded
-  // kernels legitimately take a different remainder path per call).
-  ExecOptions opts;
-  opts.method = Method::Naive;
-  opts.tiling = Tiling::Off;
-  PreparedStencil ps =
-      Engine::instance().prepare(Preset::Heat1D, Extents{200}, opts);
-  const int h = ps.halo();
-  Grid1D a(200, h), b(200, h), ra(200, h), rb(200, h);
-  fill_random(a, 5);
-  copy(a, b);
-  copy(a, ra);
-  copy(a, rb);
-  for (int t = 0; t < 7; ++t) ps.advance(a.view(), b.view(), 1);
-  ps.run(ra.view(), rb.view(), 7);
-  EXPECT_EQ(max_abs_diff(a, ra), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Concurrency: one immutable handle, several threads, separate field sets.
 // ---------------------------------------------------------------------------
@@ -281,6 +262,24 @@ TEST(Engine, EnforcesSourceArity) {
                std::invalid_argument);
   EXPECT_THROW(apop.run(a.view(), b.view(), a.view(), 2),
                std::invalid_argument);
+}
+
+TEST(Engine, PrepareRejectsExtentsNoViewCanHave) {
+  // FieldView extents are int: prepare() and plan_key() (which resolve the
+  // same request) refuse negative or > INT_MAX extents and a negative
+  // horizon instead of narrowing them.
+  Engine& eng = Engine::instance();
+  for (Extents bad : {Extents{-5, 64}, Extents{5000000000L}, Extents{8, 8, -1}}) {
+    EXPECT_THROW(eng.prepare(Preset::Heat2D, bad), std::invalid_argument);
+    EXPECT_THROW(eng.plan_key(preset(Preset::Heat1D), bad),
+                 std::invalid_argument);
+  }
+  ExecOptions backwards;
+  backwards.tsteps = -3;
+  EXPECT_THROW(eng.prepare(Preset::Heat2D, Extents{64, 64}, backwards),
+               std::invalid_argument);
+  EXPECT_NO_THROW(eng.plan_key(preset(Preset::Heat1D),
+                               Extents{std::numeric_limits<int>::max()}));
 }
 
 TEST(Engine, RejectsPartiallyOverlappingViews) {

@@ -467,6 +467,36 @@ TEST(Tuner, RecordsPairAndThreadAxis) {
   cache.clear();
 }
 
+TEST(Tuner, RecalledThreadCountNeverExceedsTheRequest) {
+  // A cache entry (SF_TUNE_CACHE may be edited or come from another
+  // machine) recalling more workers than the request negotiates must not
+  // size the pool: the tuner only ever probes counts below the request, so
+  // the planner ignores a larger one and deploys the negotiated count.
+  TuneCache& cache = TuneCache::instance();
+  cache.clear();
+  const StencilSpec& spec = preset(Preset::Heat3D);
+  PlanRequest req;
+  req.spec = &spec;
+  req.kernel = &require_kernel(Method::Ours2, 3);
+  req.nx = 64;
+  req.ny = 64;
+  req.nz = 512;
+  req.tsteps = 16;
+  req.tiling = Tiling::On;
+  req.threads = 2;
+  const ExecutionPlan heuristic = plan_execution(req);
+  ASSERT_TRUE(heuristic.blocked);
+  cache.store(make_tune_key(*req.kernel, effective_radius(spec), 64, 64, 512,
+                            16, 2, heuristic.tile.levels),
+              TunedGeometry{heuristic.tile.tile, heuristic.tile.time_block,
+                            100000});
+  const ExecutionPlan plan = plan_execution(req);
+  EXPECT_EQ(plan.source, PlanSource::Cached);
+  EXPECT_EQ(plan.tile.threads, 2);
+  EXPECT_EQ(plan.placement.workers, 2);
+  cache.clear();
+}
+
 TEST(Tuner, V1CacheLinesStillParse) {
   // Pre-thread-axis caches keep working: a v1 line (no tuned_threads
   // column) loads with threads = 0, i.e. "deploy with the key's count".

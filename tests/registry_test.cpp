@@ -115,13 +115,6 @@ TEST(Registry, CapabilityMetadata) {
   EXPECT_TRUE(find_kernel(Method::Naive, 3, Isa::Scalar)->supports(100));
 }
 
-TEST(Registry, LegacyRequiredHaloIsWorstCaseOverIsas) {
-  // The deprecated free function keeps the old "safe everywhere" contract.
-  EXPECT_EQ(required_halo(Method::DataReorg, 1), 8);   // AVX-512 floor
-  EXPECT_EQ(required_halo(Method::Naive, 2), 2);       // just the radius
-  EXPECT_EQ(required_halo(Method::Ours2, 2), 4);       // 2r
-}
-
 // Registration is global and has no unregister: the probe entry below stays
 // for the rest of the binary, so it carries a harmless no-op executor and
 // lives in an unused dimensionality (4-D) that every real enumeration

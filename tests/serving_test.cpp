@@ -1,6 +1,6 @@
 // Tests for the serving subsystem (serving/server.hpp) and its engine-level
-// foundations: bitwise agreement of batched vs. sequential advance() for all
-// nine presets, server end-to-end correctness, batching under load,
+// foundations (the all-preset bitwise agreement of batched and served runs
+// with run()/advance() lives in equivalence_test.cpp): batching under load,
 // multi-threaded client stress across mixed presets and tenants,
 // backpressure/rejection semantics (queue-full, tenant budgets, bad
 // requests), clean shutdown with in-flight work, and prepare_shared()
@@ -124,41 +124,6 @@ double batch_diff(const StencilSpec& spec, int nitems, const ItemStore& seq,
 // Engine level: advance_batch() vs. advance().
 // ---------------------------------------------------------------------------
 
-TEST(AdvanceBatch, BitwiseMatchesSequentialAllPresets) {
-  const int nitems = 4;
-  for (const auto& spec : all_presets()) {
-    SCOPED_TRACE(spec.name);
-    PreparedStencil ps = prepare_small(spec);
-    ItemStore seq, bat;
-    make_items(spec, ps, nitems, 100, seq, bat);
-    run_sequential(spec, ps, nitems, seq);
-    if (spec.dims == 1) {
-      std::deque<FieldView1D> kviews;
-      std::vector<TileBatch1D> items;
-      for (int i = 0; i < nitems; ++i) {
-        TileBatch1D it{bat.a1[i].view(), bat.b1[i].view(), nullptr};
-        if (spec.has_source) {
-          kviews.push_back(seq.k1[i].view());  // K is read-only; share it
-          it.k = &kviews.back();
-        }
-        items.push_back(it);
-      }
-      ps.advance_batch(items, kSteps);
-    } else if (spec.dims == 2) {
-      std::vector<TileBatch2D> items;
-      for (int i = 0; i < nitems; ++i)
-        items.push_back({bat.a2[i].view(), bat.b2[i].view()});
-      ps.advance_batch(items, kSteps);
-    } else {
-      std::vector<TileBatch3D> items;
-      for (int i = 0; i < nitems; ++i)
-        items.push_back({bat.a3[i].view(), bat.b3[i].view()});
-      ps.advance_batch(items, kSteps);
-    }
-    EXPECT_EQ(batch_diff(spec, nitems, seq, bat), 0.0);
-  }
-}
-
 TEST(AdvanceBatch, SingleItemAndEmptyBatchesWork) {
   const auto& spec = preset(Preset::Heat2D);
   PreparedStencil ps = prepare_small(spec);
@@ -222,64 +187,6 @@ TEST(PrepareShared, ConcurrentTenantsShareOnePreparedState) {
 // ---------------------------------------------------------------------------
 // Server end-to-end.
 // ---------------------------------------------------------------------------
-
-TEST(Server, EndToEndBitwiseAllPresets) {
-  const int nitems = 3;
-  Server server({/*queue_capacity=*/256, /*max_batch=*/16});
-  std::vector<std::future<ServeResult>> futures;
-  std::deque<ItemStore> seqs, bats;
-  std::deque<PreparedStencil> handles;
-  int idx = 0;
-  for (const auto& spec : all_presets()) {
-    handles.push_back(prepare_small(spec));
-    const PreparedStencil& ps = handles.back();
-    seqs.emplace_back();
-    bats.emplace_back();
-    ItemStore& seq = seqs.back();
-    ItemStore& bat = bats.back();
-    make_items(spec, ps, nitems, 300 + 10 * idx, seq, bat);
-    run_sequential(spec, ps, nitems, seq);
-    for (int i = 0; i < nitems; ++i) {
-      const std::string tenant = (i % 2 == 0) ? "alice" : "bob";
-      if (spec.dims == 1) {
-        if (spec.has_source)
-          futures.push_back(server.submit(tenant, ps, bat.a1[i].view(),
-                                          bat.b1[i].view(), seq.k1[i].view(),
-                                          kSteps));
-        else
-          futures.push_back(server.submit(tenant, ps, bat.a1[i].view(),
-                                          bat.b1[i].view(), kSteps));
-      } else if (spec.dims == 2) {
-        futures.push_back(server.submit(tenant, ps, bat.a2[i].view(),
-                                        bat.b2[i].view(), kSteps));
-      } else {
-        futures.push_back(server.submit(tenant, ps, bat.a3[i].view(),
-                                        bat.b3[i].view(), kSteps));
-      }
-    }
-    ++idx;
-  }
-  server.drain();
-  for (auto& f : futures) {
-    const ServeResult r = f.get();
-    EXPECT_TRUE(r.ok()) << r.error;
-    EXPECT_GE(r.batch_size, 1);
-    EXPECT_GE(r.queue_seconds, 0.0);
-    EXPECT_GE(r.exec_seconds, 0.0);
-  }
-  idx = 0;
-  for (const auto& spec : all_presets()) {
-    SCOPED_TRACE(spec.name);
-    EXPECT_EQ(batch_diff(spec, nitems, seqs[idx], bats[idx]), 0.0);
-    ++idx;
-  }
-  const ServerStats st = server.stats();
-  EXPECT_EQ(st.submitted, static_cast<long>(futures.size()));
-  EXPECT_EQ(st.completed, static_cast<long>(futures.size()));
-  EXPECT_EQ(st.failed, 0);
-  EXPECT_EQ(st.rejected, 0);
-  EXPECT_GE(st.batches, 1);
-}
 
 // Holds the dispatcher inside the first on_complete callback so admission
 // behaviour while the dispatcher is busy can be tested deterministically.

@@ -136,37 +136,6 @@ TEST(Solver, TilingGeometryBuildersPropagate) {
   EXPECT_LE(r.max_error, 1e-10);
 }
 
-TEST(Solver, DeprecatedTiledShimsMapToTilingBuilders) {
-  // tiled(bool) and tiled(TiledOptions) must keep working for one release,
-  // producing the same plan as the tiling()/tile()/threads() spelling.
-  TiledOptions opts;
-  opts.tile = 24;
-  opts.threads = 2;
-  Solver legacy = Solver::make(Preset::Box2D9)
-                      .size(96, 64)
-                      .steps(12)
-                      .method(Method::Ours2)
-                      .tiled(opts);
-  Solver modern = Solver::make(Preset::Box2D9)
-                      .size(96, 64)
-                      .steps(12)
-                      .method(Method::Ours2)
-                      .tiling(Tiling::On)
-                      .tile(24)
-                      .threads(2);
-  EXPECT_TRUE(legacy.plan().tiled);
-  EXPECT_EQ(legacy.plan().tile.tile, modern.plan().tile.tile);
-  EXPECT_EQ(legacy.plan().tile.time_block, modern.plan().tile.time_block);
-  EXPECT_EQ(legacy.plan().tile.threads, modern.plan().tile.threads);
-
-  Solver off = Solver::make(Preset::Box2D9).size(96, 64).steps(12).tiled(
-      false);
-  EXPECT_FALSE(off.plan().tiled);
-
-  RunResult r = legacy.run_verified();
-  EXPECT_LE(r.max_error, 1e-10);
-}
-
 TEST(Solver, AutoResolvesToRealKernelNeverAutoItself) {
   Solver s = Solver::make(Preset::Heat2D);
   s.method(Method::Auto);

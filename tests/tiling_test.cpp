@@ -536,25 +536,5 @@ TEST(TiledPipelineStress, FuzzLong) {
   unsetenv("SF_TEST_JITTER");
 }
 
-TEST(Tiled, DeprecatedRunTiledShimStillWorks) {
-  // run_tiled must stay a pure delegate of run_tile_plan for one release.
-  const auto& spec = preset(Preset::Heat2D);
-  const int ny = 64, nx = 48, tsteps = 10;
-  const int halo =
-      require_kernel(Method::Ours2, 2).required_halo(spec.p2.radius());
-  Grid2D a(ny, nx, halo), b(ny, nx, halo), ra(ny, nx, halo), rb(ny, nx, halo);
-  fill_random(a, 5);
-  copy(a, b);
-  copy(a, ra);
-  copy(a, rb);
-  TiledOptions opt;  // deprecated alias of TilePlan
-  opt.method = Method::Ours2;
-  opt.tile = 16;
-  opt.threads = 2;
-  run_tiled(spec.p2, a, b, tsteps, opt);
-  run_tile_plan(spec.p2, ra, rb, tsteps, opt);
-  EXPECT_EQ(max_abs_diff(a, ra), 0.0);
-}
-
 }  // namespace
 }  // namespace sf
