@@ -117,7 +117,7 @@ int main() {
                           (1 << 20)),
                Table::num(rf.gflops), Table::num(rt.gflops),
                Table::num(speedup) + "x",
-               std::to_string(tree.plan().tile.levels),
+               std::to_string(tree.plan().tree.depth()),
                std::to_string(flat.plan().tile.tile),
                std::to_string(tree.plan().tile.tile)});
     const std::string key = "nz" + std::to_string(nz);

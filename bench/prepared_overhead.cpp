@@ -28,7 +28,8 @@ struct Config {
 
 void sweep() {
   const bool full = bench_full();
-  const long reps = env_long("SF_BENCH_REPS", full ? 200 : 50);
+  const long reps =
+      env_long("SF_BENCH_REPS", full ? 200 : 50, 0, INT_MAX);
   const std::vector<Config> configs = {
       {Preset::Heat1D, full ? 1000000L : 100000L, 1, 2},
       {Preset::Heat2D, full ? 2048L : 384L, full ? 2048L : 384L, 2},

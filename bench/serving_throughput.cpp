@@ -97,7 +97,8 @@ LoadPoint run_clients(int nclients, long reqs, const Issue& issue) {
 
 void sweep() {
   const bool full = bench_full();
-  const long reqs = env_long("SF_BENCH_REPS", full ? 400 : 80);
+  const long reqs =
+      env_long("SF_BENCH_REPS", full ? 400 : 80, 0, INT_MAX);
   const int max_clients = full ? 16 : 8;
 
   const StencilSpec& spec = preset(Preset::Heat2D);

@@ -12,7 +12,8 @@
 namespace sf::bench {
 
 RunResult measure(Solver& solver) {
-  const long reps = env_long("SF_BENCH_REPS", bench_full() ? 1 : 5);
+  const long reps =
+      env_long("SF_BENCH_REPS", bench_full() ? 1 : 5, 0, INT_MAX);
   std::vector<RunResult> rs;
   for (long i = 0; i < std::max(1L, reps); ++i) rs.push_back(solver.run());
   std::sort(rs.begin(), rs.end(),

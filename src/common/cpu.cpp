@@ -46,7 +46,7 @@ const char* isa_name(Isa isa) {
 int hardware_threads() { return omp_get_max_threads(); }
 
 long llc_bytes() {
-  const long overridden = env_long("SF_LLC_BYTES", 0);
+  const long overridden = env_long("SF_LLC_BYTES", 0, 0);
   if (overridden > 0) return overridden;
 #ifdef _SC_LEVEL3_CACHE_SIZE
   const long l3 = sysconf(_SC_LEVEL3_CACHE_SIZE);

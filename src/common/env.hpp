@@ -25,7 +25,8 @@
 ///    Tiling::Auto cost model compares working sets against
 ///    (common/cpu.hpp llc_bytes()).
 ///  * `SF_THREADS=n`      — default worker count for tiled stages when the
-///    caller leaves `threads` unset (0/unset = hardware threads).
+///    caller leaves `threads` unset (0/unset = hardware threads; at most
+///    kMaxEnvThreads).
 ///  * `SF_AFFINITY=none|compact|scatter` — default worker-placement policy
 ///    of the runtime's WorkerPool when ExecOptions::affinity is left at
 ///    Affinity::None (runtime/topology.hpp env_affinity()).
@@ -42,18 +43,12 @@
 ///    ExecOptions::levels is left at 0: 1 (the default) keeps the flat
 ///    one-level plan, 2/3 engage the hierarchical LLC/register blocking
 ///    pass (core/execution_plan.hpp TileTree), `auto` picks 3 when the
-///    working set exceeds the LLC and 1 otherwise. Results are bitwise
-///    identical across depths; only the tile walk changes.
+///    working set exceeds the LLC and 1 otherwise. Only the tile geometry
+///    changes; every depth runs the same fused tile walk.
 ///  * `SF_ADAPTIVE_BATCH=0` — pin the serving dispatcher's per-round drain
 ///    cap to the configured `max_batch` instead of letting it adapt to the
 ///    observed queue depth (serving/server.hpp). Any other value — including
 ///    unset — keeps adaptation on.
-///  * `SF_PIPELINE=0`     — select the legacy global-barrier wedge schedule
-///    instead of the default point-to-point neighbor pipeline
-///    (tiling/split_tiling.hpp Pipeline) wherever the request leaves
-///    Pipeline::Auto. Results are bitwise identical either way; the knob
-///    exists so the barrier path stays benchmarkable (fig10) and
-///    bisectable.
 ///  * `SF_TEST_JITTER=n`  — test-only fault injection: each pipelined wedge
 ///    stage first sleeps its worker a pseudo-random 0..n microseconds
 ///    (runtime/worker_pool.hpp test_jitter_stall), forcing maximal stage
@@ -67,8 +62,16 @@
 ///    (default 8192, floor 16; oldest events overwritten on wrap).
 ///  * `SF_TELEMETRY_OUT=dir` — write the telemetry CSV/JSON artifact set
 ///    into `dir` at process exit (telemetry::write_reports()).
+///
+/// Integer knobs are parsed strictly (env_long): the whole value must be a
+/// base-10 integer inside the knob's range. Anything else — junk, a
+/// trailing suffix, a value that would wrap — keeps the default and prints
+/// one warning per variable to stderr.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -80,10 +83,29 @@ inline bool env_flag(const char* name) {
   return v != nullptr && std::string(v) != "0" && std::string(v) != "";
 }
 
-/// Integer value of `name`, or `fallback` when unset.
-inline long env_long(const char* name, long fallback) {
+/// Prints `name`'s rejected `value` to stderr, once per variable per
+/// process.
+void env_warn_once(const char* name, const char* value,
+                   const char* expected);
+
+/// Integer value of `name`: `fallback` when unset or empty, the value when
+/// the whole string is a base-10 integer in [lo, hi], and otherwise
+/// `fallback` after one stderr warning for the variable.
+inline long env_long(const char* name, long fallback, long lo = LONG_MIN,
+                     long hi = LONG_MAX) {
   const char* v = std::getenv(name);
-  return v ? std::atol(v) : fallback;
+  if (v == nullptr || *v == '\0') return fallback;
+  const char* digits = *v == '+' || *v == '-' ? v + 1 : v;
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(v, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*digits)) && *end == '\0' &&
+      errno != ERANGE && n >= lo && n <= hi)
+    return n;
+  const std::string range =
+      "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  env_warn_once(name, v, range.c_str());
+  return fallback;
 }
 
 /// String value of `name`, or an empty string when unset.
@@ -107,17 +129,21 @@ inline std::string tune_cache_path() { return env_str("SF_TUNE_CACHE"); }
 
 /// SF_TILE_MIN_BYTES: Tiling::Auto working-set floor (default 2 MiB).
 inline long tile_min_bytes() {
-  return env_long("SF_TILE_MIN_BYTES", 2L << 20);
+  return env_long("SF_TILE_MIN_BYTES", 2L << 20, 0);
 }
+
+/// Largest SF_THREADS value accepted: a worker count beyond it is far more
+/// likely a typo than a machine.
+constexpr long kMaxEnvThreads = 4096;
 
 /// SF_THREADS: default tiled-stage worker count (0 = hardware threads).
 inline int env_threads() {
-  return static_cast<int>(env_long("SF_THREADS", 0));
+  return static_cast<int>(env_long("SF_THREADS", 0, 0, kMaxEnvThreads));
 }
 
 /// SF_POOL_CACHE: shared_pool() registry capacity (default 8, floor 1).
 inline int pool_cache_cap() {
-  const long cap = env_long("SF_POOL_CACHE", 8);
+  const long cap = env_long("SF_POOL_CACHE", 8, 0, INT_MAX);
   return cap < 1 ? 1 : static_cast<int>(cap);
 }
 
@@ -125,7 +151,9 @@ inline int pool_cache_cap() {
 /// (unset/0 = disabled). Deliberately re-read per call — the stress tests
 /// setenv/unsetenv around individual cases, so a cached parse would go
 /// stale (runtime/worker_pool.hpp test_jitter_stall).
-inline long test_jitter_us() { return env_long("SF_TEST_JITTER", 0); }
+inline long test_jitter_us() {
+  return env_long("SF_TEST_JITTER", 0, 0, INT_MAX);
+}
 
 /// SF_VALIDATE: false only when the variable is set to exactly "0" — the
 /// debug-only escape hatch that drops per-call view validation.
@@ -135,15 +163,12 @@ inline bool env_validate() {
 }
 
 /// SF_TILE_LEVELS: default tile-tree depth when ExecOptions::levels is
-/// unset. Returns 1 when the variable is unset, -1 for "auto" (depth from
-/// working set vs LLC, resolved by the Engine), else the value clamped to
-/// [1, 3].
+/// unset. Returns 1 when the variable is unset (or rejected), -1 for "auto"
+/// (depth from working set vs LLC, resolved by the Engine), else the depth
+/// in [1, 3].
 inline int env_tile_levels() {
-  const char* v = std::getenv("SF_TILE_LEVELS");
-  if (v == nullptr || *v == '\0') return 1;
-  if (std::string(v) == "auto") return -1;
-  const long n = std::atol(v);
-  return n < 1 ? 1 : n > 3 ? 3 : static_cast<int>(n);
+  if (env_str("SF_TILE_LEVELS") == "auto") return -1;
+  return static_cast<int>(env_long("SF_TILE_LEVELS", 1, 1, 3));
 }
 
 /// SF_ADAPTIVE_BATCH: false only when the variable is set to exactly "0" —
@@ -151,14 +176,6 @@ inline int env_tile_levels() {
 /// configured max_batch.
 inline bool env_adaptive_batch() {
   const char* v = std::getenv("SF_ADAPTIVE_BATCH");
-  return v == nullptr || std::string(v) != "0";
-}
-
-/// SF_PIPELINE: false only when the variable is set to exactly "0" — the
-/// escape hatch that puts Pipeline::Auto requests back on the historical
-/// global-barrier wedge schedule.
-inline bool env_pipeline() {
-  const char* v = std::getenv("SF_PIPELINE");
   return v == nullptr || std::string(v) != "0";
 }
 

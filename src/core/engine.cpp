@@ -7,14 +7,13 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/env.hpp"
 #include "core/tuner.hpp"
 #include "fold/cost_model.hpp"
-#include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/kernels3d_impl.hpp"
 #include "layout/transpose_layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tiling/split_tiling.hpp"
@@ -86,15 +85,9 @@ struct PreparedStencil::State {
   const KernelInfo* kernel = nullptr;
   int halo = 0;
   ExecutionPlan plan;
-  long ext[3] = {0, 1, 1};  // prepared extent per axis, x first
-  int tsteps = 0;
+  Extents ext;       // resolved extents (1 below the stencil's dims)
+  ExecOptions opts;  // the resolved request (see resolve_request)
   Layout preferred = Layout::Natural;  // kernel's layout at this radius
-  Layout accept = Layout::Natural;     // resident layout run() accepts
-  HaloPolicy halo_policy = HaloPolicy::Sync;
-  Affinity affinity = Affinity::None;  // resolved placement policy
-  bool validate = true;                // per-call view validation
-  int threads = 0;                     // resolved request thread count (0 =
-                                       // hardware); batch fan-out pool size
   std::uint64_t plan_key = 0;          // effective-request hash (batch key)
   std::shared_ptr<WorkerPool> pool;    // runtime pool of the tiled stages
                                        // (shared per (threads, affinity);
@@ -105,15 +98,17 @@ const StencilSpec& PreparedStencil::spec() const { return st_->spec; }
 const KernelInfo& PreparedStencil::kernel() const { return *st_->kernel; }
 int PreparedStencil::halo() const { return st_->halo; }
 const ExecutionPlan& PreparedStencil::plan() const { return st_->plan; }
-long PreparedStencil::nx() const { return st_->ext[0]; }
-long PreparedStencil::ny() const { return st_->ext[1]; }
-long PreparedStencil::nz() const { return st_->ext[2]; }
-int PreparedStencil::tsteps() const { return st_->tsteps; }
+long PreparedStencil::nx() const { return st_->ext.nx; }
+long PreparedStencil::ny() const { return st_->ext.ny; }
+long PreparedStencil::nz() const { return st_->ext.nz; }
+int PreparedStencil::tsteps() const { return st_->opts.tsteps; }
 Layout PreparedStencil::preferred_layout() const { return st_->preferred; }
-Layout PreparedStencil::resident_layout() const { return st_->accept; }
-HaloPolicy PreparedStencil::halo_policy() const { return st_->halo_policy; }
-Affinity PreparedStencil::affinity() const { return st_->affinity; }
-bool PreparedStencil::validates() const { return st_->validate; }
+Layout PreparedStencil::resident_layout() const { return st_->opts.layout; }
+HaloPolicy PreparedStencil::halo_policy() const {
+  return st_->opts.halo_policy;
+}
+Affinity PreparedStencil::affinity() const { return st_->opts.affinity; }
+bool PreparedStencil::validates() const { return st_->opts.validate; }
 std::uint64_t PreparedStencil::plan_key() const { return st_->plan_key; }
 const WorkerPool* PreparedStencil::pool() const { return st_->pool.get(); }
 
@@ -344,8 +339,8 @@ template <int D>
 void PreparedStencil::run_views(const FieldView<D>& a, const FieldView<D>& b,
                                 const FieldView<D>* k, int tsteps) const {
   require_prepared(*this, D, "run");
-  if (st_->validate) validate(*this, a, b, k);
-  if (st_->halo_policy == HaloPolicy::Sync) sync_halo(a, b);
+  if (st_->opts.validate) validate(*this, a, b, k);
+  if (st_->opts.halo_policy == HaloPolicy::Sync) sync_halo(a, b);
   const Pattern<D>& p = st_->spec.pattern<D>();
   const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
   if (st_->plan.tiled)
@@ -411,8 +406,8 @@ void PreparedStencil::run_batch(const std::vector<TileBatch<D>>& items,
   require_prepared(*this, D, "advance_batch");
   if (items.empty()) return;
   for (const TileBatch<D>& it : items) {
-    if (st_->validate) validate(*this, it.a, it.b, it.k);
-    if (st_->halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
+    if (st_->opts.validate) validate(*this, it.a, it.b, it.k);
+    if (st_->opts.halo_policy == HaloPolicy::Sync) sync_halo(it.a, it.b);
   }
   const Pattern<D>& p = st_->spec.pattern<D>();
   const Pattern1D* src = st_->spec.has_source ? &st_->spec.src1 : nullptr;
@@ -426,8 +421,8 @@ void PreparedStencil::run_batch(const std::vector<TileBatch<D>>& items,
     const TileBatch<D>& it = items[static_cast<std::size_t>(i)];
     st_->kernel->run(p, it.a, it.b, src, it.k, nsteps);
   };
-  if (items.size() > 1 && st_->threads != 1)
-    shared_pool(st_->threads, st_->affinity)
+  if (items.size() > 1 && st_->opts.threads != 1)
+    shared_pool(st_->opts.threads, st_->opts.affinity)
         ->parallel_for(0, static_cast<int>(items.size()), run_item);
   else
     for (std::size_t i = 0; i < items.size(); ++i)
@@ -495,7 +490,8 @@ void PreparedStencil::touch(const FieldView<D>& v) const {
   require_prepared(*this, D, "first_touch", /*check_dims=*/false);
   const int h = v.halo();
   split_over_placement(
-      st_->plan, st_->pool.get(), v.outer_extent(), st_->ext[D - 1], h,
+      st_->plan, st_->pool.get(), v.outer_extent(),
+      prepared_extent(*this, D - 1), h,
       /*pinned_only=*/true, [&](long lo, long hi) {
         for_each_row(v, static_cast<int>(lo), static_cast<int>(hi), h,
                      [](int x0, int x1, bool, double* row) {
@@ -631,33 +627,50 @@ std::uint64_t hash_spec(const StencilSpec& s) {
   return h;
 }
 
+[[noreturn]] void bad_request(const std::string& why) {
+  throw std::invalid_argument("Engine::prepare: " + why);
+}
+
+void require_non_negative(const char* field, long v) {
+  if (v < 0)
+    bad_request(std::string(field) + " " + std::to_string(v) +
+                " is negative (0 = the default)");
+}
+
+// The worker-pool axes of a request: unset ones take their process-wide
+// defaults. Shared by resolve_request() and warm_pool(), so a warmed pool
+// is the one a prepared plan acquires.
+void resolve_workers(ExecOptions& opts) {
+  require_non_negative("threads", opts.threads);
+  if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
+  if (opts.threads == 0) opts.threads = env_threads();
+}
+
 // Environment/preset fallback resolution shared by prepare() and
-// plan_key(): the effective request is what both the plan-cache key and the
-// plan-key hash are computed from, so an env change between calls is never
-// served (or keyed as) a stale preparation.
-void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
-                     int& tsteps) {
+// plan_key(): the resolved record is what the plan cache matches and the
+// plan key hashes, so an env change between calls is never served (or
+// keyed as) a stale preparation. Values no request can mean are rejected
+// here instead of being remapped.
+void resolve_request(const StencilSpec& spec, Extents& ext,
+                     ExecOptions& opts) {
   // FieldView extents are int: refuse what no view could describe instead
   // of letting a narrowing cast wrap it into some other grid.
   for (long e : {ext.nx, ext.ny, ext.nz})
     if (e < 0 || e > std::numeric_limits<int>::max())
-      throw std::invalid_argument(
-          "Engine::prepare: extent " + std::to_string(e) +
-          " is outside [0, INT_MAX] (0 = the preset default)");
-  if (opts.tsteps < 0)
-    throw std::invalid_argument("Engine::prepare: tsteps " +
-                                std::to_string(opts.tsteps) +
-                                " is negative (0 = the preset default)");
-  if (opts.affinity == Affinity::None) opts.affinity = env_affinity();
-  if (opts.threads == 0) opts.threads = env_threads();
+      bad_request("extent " + std::to_string(e) +
+                  " is outside [0, INT_MAX] (0 = the preset default)");
+  require_non_negative("tsteps", opts.tsteps);
+  require_non_negative("tile", opts.tile);
+  require_non_negative("time_block", opts.time_block);
+  if (opts.levels < -1 || opts.levels > 3)
+    bad_request("levels " + std::to_string(opts.levels) +
+                " is outside [-1, 3] (0 = SF_TILE_LEVELS, -1 = auto)");
+  resolve_workers(opts);
   opts.validate = opts.validate && env_validate();
-  if (opts.pipeline == Pipeline::Auto)
-    opts.pipeline = env_pipeline() ? Pipeline::On : Pipeline::Off;
   if (ext.nx == 0) ext.nx = spec.small_size[0];
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
-  tsteps = opts.tsteps > 0 ? opts.tsteps
-                           : static_cast<int>(spec.small_tsteps);
+  if (opts.tsteps == 0) opts.tsteps = static_cast<int>(spec.small_tsteps);
   // Tile-tree depth: unset defers to SF_TILE_LEVELS; Auto (-1, from either
   // source) engages the full hierarchy exactly when the ping-pong working
   // set spills the LLC — flat plans already keep LLC-resident tiles.
@@ -665,33 +678,23 @@ void resolve_request(const StencilSpec& spec, Extents& ext, ExecOptions& opts,
   if (opts.levels < 0)
     opts.levels =
         working_set_bytes(ext.nx, ext.ny, ext.nz) > llc_bytes() ? 3 : 1;
-  opts.levels = opts.levels < 1 ? 1 : opts.levels > 3 ? 3 : opts.levels;
 }
 
-// The plan key: FNV-1a over the full effective request. Equal keys mean
+// The plan key: FNV-1a over the full resolved request. Equal keys mean
 // prepare() would serve both requests from one cache entry (modulo hash
 // collisions, which only cost a missed batching opportunity downstream —
 // the serving batcher executes each group through a handle of that group,
 // never across groups).
 std::uint64_t request_key(std::uint64_t spec_hash, const Extents& ext,
-                          int tsteps, const ExecOptions& o) {
+                          const ExecOptions& o) {
   std::uint64_t h = fnv1a(1469598103934665603ull, spec_hash);
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.nx));
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.ny));
-  h = fnv1a(h, static_cast<std::uint64_t>(ext.nz));
-  h = fnv1a(h, static_cast<std::uint64_t>(tsteps));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.method));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.isa));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.tiling));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.threads));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.tile));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.time_block));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.layout));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.halo_policy));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.affinity));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.pipeline));
-  h = fnv1a(h, static_cast<std::uint64_t>(o.levels));
-  h = fnv1a(h, o.validate ? 1u : 0u);
+  for (long e : {ext.nx, ext.ny, ext.nz})
+    h = fnv1a(h, static_cast<std::uint64_t>(e));
+  std::apply(
+      [&h](const auto&... f) {
+        ((h = fnv1a(h, static_cast<std::uint64_t>(f))), ...);
+      },
+      o.fields());
   return h;
 }
 
@@ -724,9 +727,6 @@ bool same_spec(const StencilSpec& a, const StencilSpec& b) {
 
 struct Engine::CacheEntry {
   std::uint64_t spec_hash = 0;
-  ExecOptions opts;
-  long nx = 0, ny = 1, nz = 1;
-  int tsteps = 0;
   // Per-key tuner dependence: a plan that consulted the TuneCache records
   // *which* key it asked about and what the lookup returned. The entry
   // stays valid exactly while that lookup still returns the same answer —
@@ -738,7 +738,7 @@ struct Engine::CacheEntry {
   bool tuner_dependent = false;
   TuneKey tune_key;
   std::optional<TunedGeometry> tune_seen;
-  std::shared_ptr<const PreparedStencil::State> state;
+  std::shared_ptr<const PreparedStencil::State> state;  // holds the request
 };
 
 Engine& Engine::instance() {
@@ -759,30 +759,19 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   // is the *effective* request and an env change between calls is never
   // served a stale preparation.
   ExecOptions opts = opts_in;
-  int tsteps = 0;
-  resolve_request(spec, ext, opts, tsteps);
+  resolve_request(spec, ext, opts);
 
   // Tiled auto-geometry plans read the TuneCache, so each cached
   // preparation snapshots the lookup it depended on; it is served only
   // while that per-key lookup still returns the same answer (see
-  // CacheEntry). The request key itself includes every ExecOptions field —
-  // the resident-layout axis and halo policy change run()-time behavior,
-  // so preparations differing in them must not be shared.
+  // CacheEntry). The request match covers every ExecOptions field — the
+  // resident-layout axis and halo policy change run()-time behavior, so
+  // preparations differing in them must not be shared.
   const std::uint64_t sh = hash_spec(spec);
   auto matches = [&](const CacheEntry& e) {
-    return e.spec_hash == sh && e.nx == ext.nx && e.ny == ext.ny &&
-           e.nz == ext.nz && e.tsteps == tsteps &&
-           e.opts.method == opts.method && e.opts.isa == opts.isa &&
-           e.opts.tiling == opts.tiling && e.opts.threads == opts.threads &&
-           e.opts.tile == opts.tile &&
-           e.opts.time_block == opts.time_block &&
-           e.opts.layout == opts.layout &&
-           e.opts.halo_policy == opts.halo_policy &&
-           e.opts.affinity == opts.affinity &&
-           e.opts.pipeline == opts.pipeline &&
-           e.opts.levels == opts.levels &&
-           e.opts.validate == opts.validate &&
-           same_spec(e.state->spec, spec);
+    const PreparedStencil::State& st = *e.state;
+    return e.spec_hash == sh && st.ext.nx == ext.nx && st.ext.ny == ext.ny &&
+           st.ext.nz == ext.nz && st.opts == opts && same_spec(st.spec, spec);
   };
   auto tuner_fresh = [](const CacheEntry& e) {
     return !e.tuner_dependent ||
@@ -806,12 +795,9 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
 
   auto st = std::make_shared<PreparedStencil::State>();
   st->spec = spec;
-  st->ext[0] = ext.nx;
-  st->ext[1] = ext.ny;
-  st->ext[2] = ext.nz;
-  st->tsteps = tsteps;
-  st->threads = opts.threads;
-  st->plan_key = request_key(sh, ext, tsteps, opts);
+  st->ext = ext;
+  st->opts = opts;
+  st->plan_key = request_key(sh, ext, opts);
 
   const Method m =
       opts.method == Method::Auto ? auto_method(spec, opts.isa) : opts.method;
@@ -826,10 +812,6 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   // layout preference, and a request to accept resident views must match
   // it — a mismatch would mean kernels misinterpreting the caller's bytes.
   st->preferred = st->kernel->resident_layout(effective_radius(spec));
-  st->accept = opts.layout;
-  st->halo_policy = opts.halo_policy;
-  st->affinity = opts.affinity;
-  st->validate = opts.validate;
   if (opts.layout != Layout::Natural && opts.layout != st->preferred)
     throw std::invalid_argument(
         std::string("Engine::prepare: ExecOptions::layout requests ") +
@@ -837,52 +819,19 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
         st->kernel->name + "' keeps data in " + layout_name(st->preferred) +
         " layout at this radius");
 
-  PlanRequest req;
-  req.spec = &st->spec;
-  req.kernel = st->kernel;
-  req.nx = ext.nx;
-  req.ny = ext.ny;
-  req.nz = ext.nz;
-  req.tsteps = tsteps;
-  req.tiling = opts.tiling;
-  req.threads = opts.threads;
-  req.tile = opts.tile;
-  req.time_block = opts.time_block;
-  req.affinity = opts.affinity;
-  req.pipeline = opts.pipeline;
-  req.levels = opts.levels;
+  const PlanRequest req{st->spec, *st->kernel, ext, st->opts};
   st->plan = plan_execution(req);
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
-  // per (threads, affinity), workers parked between tasks), and first-touch
-  // the per-worker workspace slabs on their owners: the 3-D folded stage's
-  // sliding plane window is sized here exactly as folded3d_advance sizes
-  // it, so the first run() finds it allocated — on the right NUMA node —
-  // instead of growing it mid-stage.
-  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1) {
+  // per (threads, affinity), workers parked between tasks). The 3-D folded
+  // stage's per-worker plane window is first-touched by the wedge
+  // schedule's prologue on its owner (tiling/split_tiling.cpp), in the slot
+  // that already overlaps the first super-step.
+  if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1)
     st->pool = shared_pool(st->plan.tile.threads, opts.affinity);
-    // Pipelined plans skip the prepare-time dispatch: the wedge schedule's
-    // per-worker prologue first-touches each arena in the slot that already
-    // overlaps the first super-step (tiling/split_tiling.cpp), so paying a
-    // full pool round-trip here would be pure duplicated latency. The
-    // barrier schedule has no prologue, so those plans still pre-size here.
-    if (spec.dims == 3 && st->kernel->method == Method::Ours2 &&
-        opts.pipeline == Pipeline::Off) {
-      const FoldingPlan fold =
-          plan_folding(spec.p3, st->kernel->fold_depth);
-      const detail::Folded3DWindowShape shape = detail::folded3d_window_shape(
-          fold, static_cast<int>(ext.nx), st->kernel->width);
-      st->pool->ensure_arena(shape.nbufs, shape.doubles);
-    }
-  }
 
   CacheEntry entry;
   entry.spec_hash = sh;
-  entry.opts = opts;
-  entry.nx = ext.nx;
-  entry.ny = ext.ny;
-  entry.nz = ext.nz;
-  entry.tsteps = tsteps;
   // Snapshot the tuner lookup this plan depended on (plan_execution
   // consults the cache only for tiled plans with auto geometry, keyed on
   // the negotiated thread count). The snapshot is taken after planning, so
@@ -898,8 +847,8 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
     // lookup key) — re-derive it the same way.
     entry.tune_key =
         make_tune_key(*st->kernel, effective_radius(spec), ext.nx, ext.ny,
-                      ext.nz, tsteps, plan_geometry(req).threads,
-                      st->plan.tile.levels);
+                      ext.nz, opts.tsteps, plan_geometry(req).threads,
+                      st->plan.tree.depth());
     entry.tune_seen = TuneCache::instance().lookup_rounded(entry.tune_key);
   }
   entry.state = st;
@@ -965,9 +914,8 @@ PreparedStencil Engine::prepare_shared(const StencilSpec& spec, Extents ext,
 std::uint64_t Engine::plan_key(const StencilSpec& spec, Extents ext,
                                const ExecOptions& opts_in) const {
   ExecOptions opts = opts_in;
-  int tsteps = 0;
-  resolve_request(spec, ext, opts, tsteps);
-  return request_key(hash_spec(spec), ext, tsteps, opts);
+  resolve_request(spec, ext, opts);
+  return request_key(hash_spec(spec), ext, opts);
 }
 
 std::size_t Engine::plan_cache_size() const {
@@ -982,9 +930,10 @@ long Engine::plan_cache_hits() const {
 
 void Engine::warm_pool(int threads) {
   // Building the shared pool is the warmup: workers spawn, pin and park.
-  // Resolve the same process-wide affinity default prepare() would, so the
-  // pool warmed here is the pool a subsequent prepare() reuses.
-  shared_pool(threads, env_affinity());
+  ExecOptions opts;
+  opts.threads = threads;
+  resolve_workers(opts);
+  shared_pool(opts.threads, opts.affinity);
 }
 
 }  // namespace sf

@@ -46,82 +46,6 @@
 
 namespace sf {
 
-/// Problem extents of a prepare request. Unset (0) trailing extents default
-/// to the stencil's preset fast-run size, mirroring Solver::size().
-struct Extents {
-  long nx = 0;  ///< First extent.
-  long ny = 0;  ///< Second extent (ignored below 2-D).
-  long nz = 0;  ///< Third extent (ignored below 3-D).
-};
-
-/// Per-call halo handling of PreparedStencil::run()/advance().
-enum class HaloPolicy {
-  Sync,   ///< run() mirrors a's Dirichlet halo ring into b before executing
-          ///< (the safe default: b's halo may hold anything).
-  Clean,  ///< The caller promises b's halo already equals a's (true after
-          ///< any prior run()/advance() on the same pair, since kernels
-          ///< never write halos) — the O(surface) per-call sync is skipped.
-          ///< Streaming advance() loops use this to shave the remaining
-          ///< per-call work once the pair is warmed up.
-};
-
-/// Execution knobs of a prepare request — the planning-relevant subset of
-/// the Solver builder, in one aggregate.
-struct ExecOptions {
-  Method method = Method::Auto;  ///< Kernel method (Auto = fold cost model).
-  Isa isa = Isa::Auto;           ///< ISA level (Auto = widest supported).
-  Tiling tiling = Tiling::Auto;  ///< Split-tiling policy.
-  int threads = 0;     ///< OpenMP threads for tiled stages (0 = default).
-  int tile = 0;        ///< Explicit tile extent (0 = negotiate/tune).
-  int time_block = 0;  ///< Explicit time block (0 = negotiate/tune).
-  int tsteps = 0;  ///< Planning horizon in time steps (0 = preset default).
-                   ///< run() may execute a different horizon; the captured
-                   ///< geometry is simply re-clamped by the engine.
-  Layout layout = Layout::Natural;
-  ///< Resident field layout run()/advance() will accept in addition to
-  ///< Layout::Natural. Layout::Natural (the default) keeps the historical
-  ///< contract: only natural-layout views are accepted and layout-using
-  ///< kernels transform in/out on every call. Requesting the selected
-  ///< kernel's preferred layout (PreparedStencil::preferred_layout(),
-  ///< Transposed for the "ours" methods) lets callers keep their buffers
-  ///< in that layout across an advance() stream — transform once via
-  ///< to_resident_layout(), then every call skips the involution.
-  ///< prepare() throws when the layout is not the kernel's preference.
-  HaloPolicy halo_policy = HaloPolicy::Sync;
-  ///< Per-call halo handling; see HaloPolicy.
-  Affinity affinity = Affinity::None;
-  ///< Worker placement of the tiled stages (runtime/topology.hpp): the
-  ///< prepared plan's pool pins its workers per this policy and the
-  ///< placement map assigns them tile ranges. Affinity::None (default)
-  ///< leaves workers unpinned — results are bitwise identical across
-  ///< policies; placement changes locality only. When left at None the
-  ///< process-wide `SF_AFFINITY` default applies.
-  Pipeline pipeline = Pipeline::Auto;
-  ///< Cross-block synchronization of the parallel wedge stages
-  ///< (tiling/split_tiling.hpp Pipeline): point-to-point neighbor sync
-  ///< (On, the default via Auto) or the historical global stage barriers
-  ///< (Off). Results are bitwise identical either way. Auto resolves the
-  ///< process-wide `SF_PIPELINE` default at prepare() time, so prepared
-  ///< handles are env-immune and the plan cache keys on the effective
-  ///< value.
-  int levels = 0;
-  ///< Tile-tree depth of the plan (core/execution_plan.hpp TileTree):
-  ///< 1 keeps the flat one-level plan, 2/3 engage the hierarchical
-  ///< LLC/register blocking negotiation, -1 picks the depth from the
-  ///< working set vs the LLC (Auto), and 0 (the default) defers to the
-  ///< process-wide `SF_TILE_LEVELS` default — resolved at prepare() time,
-  ///< so prepared handles are env-immune and the plan cache keys on the
-  ///< effective depth. Results are bitwise identical across depths.
-  bool validate = true;
-  ///< Per-call FieldView validation in run()/advance(). Default on; the
-  ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
-  ///< process-wide) removes the residual O(1) checks from streaming
-  ///< advance() loops — combined with HaloPolicy::Clean a call is then
-  ///< pure kernel dispatch. Invalid views are undefined behavior once
-  ///< validation is off; keep it on everywhere except profiled-clean
-  ///< streaming hot loops.
-};
-
 /// Immutable, thread-safe handle to one prepared stencil execution: the
 /// negotiated kernel, halo, ExecutionPlan and tile geometry, captured once
 /// by Engine::prepare(). Copies share the underlying prepared state.
@@ -332,11 +256,12 @@ class Engine {
   /// prepare() calls served from the cache over this engine's lifetime.
   long plan_cache_hits() const;
 
-  /// Ensures the process-wide WorkerPool for `threads` workers (0 = the
-  /// hardware thread count) at Affinity::None exists, so the first tiled
-  /// run() does not pay thread creation. prepare() acquires the matching
-  /// pool automatically for tiled plans (including pinned ones); this
-  /// remains for callers that want to pre-warm before preparing.
+  /// Ensures the process-wide WorkerPool that a tiled prepare() with
+  /// `threads` workers and unset affinity would acquire exists, so the
+  /// first tiled run() does not pay thread creation. `threads` and the
+  /// placement policy resolve exactly as in prepare(): 0 defers to
+  /// `SF_THREADS` (then the hardware thread count), and the `SF_AFFINITY`
+  /// default applies. Throws std::invalid_argument for negative `threads`.
   void warm_pool(int threads = 0);
 
  private:

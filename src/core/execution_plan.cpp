@@ -24,41 +24,43 @@ int source_radius(const StencilSpec& s) {
 
 // The dimension the wedge schedule tessellates: x in 1-D, y in 2-D, z in
 // 3-D (always the outermost loop of the untiled executors).
-long tiled_extent(const StencilSpec& s, long nx, long ny, long nz) {
-  return s.dims == 1 ? nx : s.dims == 2 ? ny : nz;
+long tiled_extent(const PlanRequest& req) {
+  const Extents& e = req.ext;
+  return req.spec.dims == 1 ? e.nx : req.spec.dims == 2 ? e.ny : e.nz;
 }
 
 bool engages(const PlanRequest& req) {
-  return req.spec != nullptr && req.kernel != nullptr &&
-         tiled_path_engages(*req.kernel, pattern_radius(*req.spec),
-                            source_radius(*req.spec), req.nx);
+  return tiled_path_engages(req.kernel, pattern_radius(req.spec),
+                            source_radius(req.spec), req.ext.nx);
 }
 
 // Bytes of one cross-section slice of the tiled dimension, mirroring what
 // the engine impls pass make_plan (so plan() reports the exact geometry
 // run_tile_plan will reconstruct).
-long slice_bytes(const StencilSpec& s, long nx, long ny) {
-  switch (s.dims) {
+long slice_bytes(const PlanRequest& req) {
+  switch (req.spec.dims) {
     case 1: return sizeof(double);
-    case 2: return static_cast<long>(sizeof(double)) * nx;
-    default: return static_cast<long>(sizeof(double)) * nx * ny;
+    case 2: return static_cast<long>(sizeof(double)) * req.ext.nx;
+    default:
+      return static_cast<long>(sizeof(double)) * req.ext.nx * req.ext.ny;
   }
 }
 
-WedgeGeometry negotiate(const PlanRequest& req) {
+// negotiate_wedge() over `o`'s explicit tile/time_block/threads (the
+// request's own options unless a caller substitutes candidates).
+WedgeGeometry negotiate(const PlanRequest& req, const ExecOptions& o) {
   TilePlan requested;
-  requested.method = req.kernel->method;
-  requested.isa = req.kernel->isa;
-  requested.tile = req.tile;
-  requested.time_block = req.time_block;
-  requested.threads = req.threads;
-  requested.affinity = req.affinity;
-  requested.pipeline = req.pipeline;
-  const int slope = req.kernel->wedge_slope(pattern_radius(*req.spec));
-  return negotiate_wedge(
-      static_cast<int>(tiled_extent(*req.spec, req.nx, req.ny, req.nz)),
-      slope, req.kernel->fold_depth, req.tsteps, requested,
-      slice_bytes(*req.spec, req.nx, req.ny));
+  requested.tile = o.tile;
+  requested.time_block = o.time_block;
+  requested.threads = o.threads;
+  return negotiate_wedge(static_cast<int>(tiled_extent(req)),
+                         req.kernel.wedge_slope(pattern_radius(req.spec)),
+                         req.kernel.fold_depth, o.tsteps, requested,
+                         slice_bytes(req));
+}
+
+WedgeGeometry negotiate(const PlanRequest& req) {
+  return negotiate(req, req.opts);
 }
 
 }  // namespace
@@ -90,10 +92,10 @@ namespace {
 bool profitable_at(const PlanRequest& req, const WedgeGeometry& g) {
   // A time block needs at least two super-steps to amortize its two stage
   // barriers; shorter horizons run untiled.
-  const int m = std::max(1, req.kernel->fold_depth);
-  if (req.tsteps / m < 2) return false;
+  const int m = std::max(1, req.kernel.fold_depth);
+  if (req.opts.tsteps / m < 2) return false;
   if (!g.blocked) return false;
-  const long bytes = working_set_bytes(req.nx, req.ny, req.nz);
+  const long bytes = working_set_bytes(req.ext.nx, req.ext.ny, req.ext.nz);
   if (g.threads > 1) {
     // The untiled executors are serial, so parallel wedges win on anything
     // sizable; below the floor the stage barriers eat the gain.
@@ -134,87 +136,70 @@ namespace {
 // bind, the domain cannot block at the capped tile, or the plan is serial
 // (the serial heuristic already LLC-caps its single-worker tile).
 int negotiate_tree(const PlanRequest& req, ExecutionPlan& plan) {
-  if (req.levels < 2 || !plan.blocked || plan.tile.threads <= 1 ||
-      req.tile > 0)
+  const int levels = req.opts.levels;
+  if (levels < 2 || !plan.blocked || plan.tile.threads <= 1 ||
+      req.opts.tile > 0)
     return 1;
-  const long slice = slice_bytes(*req.spec, req.nx, req.ny);
+  const long slice = slice_bytes(req);
   const int nodes = std::max(1, Topology::system().numa_nodes());
   const int workers_per_node =
       (plan.tile.threads + nodes - 1) / nodes;
   long cap = llc_bytes() / std::max(1, workers_per_node) /
              std::max(1L, 3 * std::max<long>(slice, 1));
-  const int leaf = req.levels >= 3 ? std::max(1, req.kernel->reg_block()) : 1;
+  const int leaf = levels >= 3 ? std::max(1, req.kernel.reg_block()) : 1;
   if (leaf > 1 && cap > leaf) cap = cap / leaf * leaf;
   if (cap <= 0 || cap >= plan.tile.tile) return 1;  // cap does not bind
-  PlanRequest mid = req;
+  ExecOptions mid = req.opts;
   mid.tile = static_cast<int>(cap);
   mid.time_block = 0;  // re-derive the block height for the smaller tile
   mid.threads = plan.tile.threads;
-  const WedgeGeometry mg = negotiate(mid);
+  const WedgeGeometry mg = negotiate(req, mid);
   if (!mg.blocked) return 1;  // too small to keep wedges disjoint
   plan.tile.tile = mg.tile;
   plan.tile.time_block = mg.time_block;
-  return req.levels;
+  return levels;
 }
 
-// Stamps ExecutionPlan::tree from the final geometry: the degenerate
-// one-level chain for flat plans, shard -> L3 tile (-> register block)
-// for engaged multi-level ones. Built last so a tuner recall's tile is
-// what the tree reports.
+// Stamps ExecutionPlan::tree from the final geometry: the tile level for
+// flat plans, shard + tile (+ register block) for engaged multi-level
+// ones. Built last so a tuner recall's tile is what the tree reports.
 void stamp_tree(const PlanRequest& req, ExecutionPlan& plan, int levels) {
-  const int axis = req.spec->dims - 1;
-  const long n_tiled = tiled_extent(*req.spec, req.nx, req.ny, req.nz);
-  TileTree leaf_level;
-  leaf_level.axis = axis;
-  leaf_level.extent = plan.tile.tile;
-  if (levels <= 1) {
-    plan.tree = std::move(leaf_level);
-    return;
-  }
+  plan.tree.tile = plan.tile.tile;
+  if (levels <= 1) return;
+  const long n_tiled = tiled_extent(req);
   const int ntiles =
       static_cast<int>((n_tiled + plan.tile.tile - 1) / plan.tile.tile);
   const int workers = std::max(1, plan.tile.threads);
-  TileTree root;
-  root.axis = axis;
-  root.extent = static_cast<int>(
-      std::min<long>(n_tiled, static_cast<long>((ntiles + workers - 1) /
-                                                workers) *
-                                  plan.tile.tile));
-  TileTree mid = std::move(leaf_level);
-  if (levels >= 3) {
-    TileTree reg;
-    reg.axis = axis;
-    reg.extent = std::min(plan.tile.tile,
-                          std::max(1, req.kernel->reg_block()));
-    mid.children.push_back(std::move(reg));
-  }
-  root.children.push_back(std::move(mid));
-  plan.tree = std::move(root);
+  plan.tree.shard = static_cast<int>(std::min<long>(
+      n_tiled,
+      static_cast<long>((ntiles + workers - 1) / workers) * plan.tile.tile));
+  if (levels >= 3)
+    plan.tree.leaf =
+        std::min(plan.tile.tile, std::max(1, req.kernel.reg_block()));
 }
 
 }  // namespace
 
 ExecutionPlan plan_execution(const PlanRequest& req) {
+  const ExecOptions& o = req.opts;
   ExecutionPlan plan;
-  plan.kernel = req.kernel;
-  if (req.tiling == Tiling::Off || !engages(req)) return plan;
+  plan.kernel = &req.kernel;
+  if (o.tiling == Tiling::Off || !engages(req)) return plan;
 
   const WedgeGeometry g = negotiate(req);
-  if (req.tiling == Tiling::Auto && !profitable_at(req, g)) return plan;
+  if (o.tiling == Tiling::Auto && !profitable_at(req, g)) return plan;
   plan.tiled = true;
   plan.blocked = g.blocked;
   plan.source = PlanSource::Heuristic;
-  plan.tile.method = req.kernel->method;
-  plan.tile.isa = req.kernel->isa;
+  plan.tile.method = req.kernel.method;
+  plan.tile.isa = req.kernel.isa;
   plan.tile.tile = g.tile;
   plan.tile.time_block = g.time_block;
   plan.tile.threads = g.threads;
-  plan.tile.affinity = req.affinity;
-  plan.tile.pipeline = req.pipeline;
+  plan.tile.affinity = o.affinity;
   // Multi-level pass before the tuner: the engaged depth is part of the
   // tune key, so tree and flat measurements of one shape never cross.
   const int levels = negotiate_tree(req, plan);
-  plan.tile.levels = levels;
   // Explicit geometry outranks the cache; a fully-auto request recalls any
   // previously-measured result for this configuration — exact shape first,
   // then the quarter-octave shape bucket (core/tuner.hpp tune_bucket), so
@@ -227,17 +212,17 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   // measured fastest below the hardware maximum). The tuner never probes
   // above the negotiated count, so a larger recalled one (an edited or
   // foreign cache file) is ignored rather than deployed as a pool size.
-  if (req.tile == 0 && req.time_block == 0) {
+  if (o.tile == 0 && o.time_block == 0) {
     const TuneKey key =
-        make_tune_key(*req.kernel, effective_radius(*req.spec), req.nx,
-                      req.ny, req.nz, req.tsteps, g.threads, levels);
+        make_tune_key(req.kernel, effective_radius(req.spec), req.ext.nx,
+                      req.ext.ny, req.ext.nz, o.tsteps, g.threads, levels);
     if (auto hit = TuneCache::instance().lookup_rounded(key)) {
-      PlanRequest cached = req;
+      ExecOptions cached = o;
       cached.tile = hit->tile;
       cached.time_block = hit->time_block;
       if (hit->threads > 0 && hit->threads <= g.threads)
         cached.threads = hit->threads;
-      const WedgeGeometry cg = negotiate(cached);
+      const WedgeGeometry cg = negotiate(req, cached);
       if (cg.blocked) {
         plan.tile.tile = cg.tile;
         plan.tile.time_block = cg.time_block;
@@ -250,11 +235,10 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   // The placement map is part of the plan: who computes which tiles is
   // negotiated with the geometry, not improvised at run time.
   if (plan.blocked && plan.tile.threads > 1) {
-    const long n_tiled = tiled_extent(*req.spec, req.nx, req.ny, req.nz);
+    const long n_tiled = tiled_extent(req);
     const int ntiles =
         static_cast<int>((n_tiled + plan.tile.tile - 1) / plan.tile.tile);
-    plan.placement =
-        balanced_placement(ntiles, plan.tile.threads, req.affinity);
+    plan.placement = balanced_placement(ntiles, plan.tile.threads, o.affinity);
   }
   stamp_tree(req, plan, levels);
   return plan;

@@ -1,11 +1,11 @@
 /// \file
 /// \brief The planning layer between the Solver facade and the executors.
 ///
-/// `Solver::run` no longer hard-codes "tiled or not": it builds a
-/// PlanRequest (selected kernel, extents, horizon, the user's
-/// tiling/threads/tile/time_block knobs) and asks plan_execution() for an
-/// ExecutionPlan. The plan says whether the temporal split-tiling multicore
-/// path (paper §3.4, the Fig. 9 configuration) runs, and with which
+/// Engine::prepare() does not hard-code "tiled or not": it builds a
+/// PlanRequest (stencil, selected kernel, resolved extents and ExecOptions)
+/// and asks plan_execution() for an ExecutionPlan. The plan says whether
+/// the temporal split-tiling multicore path (paper §3.4, the Fig. 9
+/// configuration) runs, and with which
 /// concrete tile/time_block/threads geometry — negotiated from the wedge
 /// heuristics, recalled from the tuner cache, or (after a measuring run)
 /// tuned.
@@ -24,6 +24,9 @@
 ///     is purely a cache-blocking play, paper Fig. 8).
 #pragma once
 
+#include <tuple>
+
+#include "grid/field_view.hpp"
 #include "kernels/registry.hpp"
 #include "stencil/presets.hpp"
 #include "tiling/split_tiling.hpp"
@@ -48,67 +51,118 @@ enum class PlanSource {
 /// Display name of a PlanSource ("untiled", "heuristic", "cached", "tuned").
 const char* plan_source_name(PlanSource s);
 
-/// One level of the hierarchical tile tree: the extent tiles have along the
-/// tessellated axis at this level, plus the child levels that subdivide each
-/// such tile. The tree is a degenerate chain (every level has at most one
-/// child describing the next-finer blocking), mirroring the recursive
-/// child-tiles design of mv::Tiling: a node's extent divides work, its
-/// children say how one share is blocked further.
-///
-/// Levels, outermost first:
-///  1. worker shard — the contiguous run of wedge tiles one pool worker
-///     owns (PlacementPlan ownership; the unit a NUMA node, and one day a
-///     multi-process distributor, holds);
-///  2. L3 tile — the wedge tile extent, capped so one tile's ping-pong
-///     working set fits a NUMA node's per-worker LLC share;
-///  3. register block — the kernel's vector/fold quantum
-///     (KernelInfo::reg_block), the granule level 2 is rounded to.
-///
-/// A flat plan is the degenerate one-level tree: a single node whose extent
-/// is the wedge tile. The wedge scheduler walks this structure implicitly —
-/// the outer level is its per-worker owned-tile loop, the leaf is one wedge
-/// — so tree and flat plans execute the identical wedge set and results are
-/// bitwise independent of the depth.
-struct TileTree {
-  int axis = 0;    ///< Tessellated dimension: 0 = x (1-D), 1 = y, 2 = z.
-  int extent = 0;  ///< Nominal tile extent along `axis` at this level (the
-                   ///< last tile of a level may be ragged, and worker
-                   ///< shards may differ by one wedge tile).
-  std::vector<TileTree> children;  ///< Next-finer level; empty at the leaf.
-
-  /// Number of levels of this (chain-shaped) tree; 1 for a flat plan.
-  int depth() const {
-    return children.empty() ? 1 : 1 + children.front().depth();
-  }
-  /// True when this is the degenerate one-level (flat) tree.
-  bool flat() const { return children.empty(); }
+/// Problem extents of a prepare request. Unset (0) trailing extents default
+/// to the stencil's preset fast-run size, mirroring Solver::size().
+struct Extents {
+  long nx = 0;  ///< First extent.
+  long ny = 0;  ///< Second extent (ignored below 2-D).
+  long nz = 0;  ///< Third extent (ignored below 3-D).
 };
 
-/// Everything plan_execution() needs to decide how a run executes.
-struct PlanRequest {
-  const StencilSpec* spec = nullptr;    ///< The stencil being solved.
-  const KernelInfo* kernel = nullptr;   ///< Kernel selected by the Solver.
-  long nx = 0;                          ///< Resolved extents.
-  long ny = 1;                          ///< Second extent (1 below 2-D).
-  long nz = 1;                          ///< Third extent (1 below 3-D).
-  int tsteps = 0;                       ///< Resolved time-step horizon.
-  Tiling tiling = Tiling::Auto;         ///< The user's tiling policy.
-  int threads = 0;     ///< Requested pool workers (0 = hardware threads).
+/// Per-call halo handling of PreparedStencil::run()/advance().
+enum class HaloPolicy {
+  Sync,   ///< run() mirrors a's Dirichlet halo ring into b before executing
+          ///< (the safe default: b's halo may hold anything).
+  Clean,  ///< The caller promises b's halo already equals a's (true after
+          ///< any prior run()/advance() on the same pair, since kernels
+          ///< never write halos) — the O(surface) per-call sync is skipped.
+          ///< Streaming advance() loops use this to shave the remaining
+          ///< per-call work once the pair is warmed up.
+};
+
+/// Execution knobs of a prepare request — the one options record. The
+/// caller fills what it cares about; Engine::prepare() resolves every
+/// default (environment, preset horizon, tile-tree depth) and keeps the
+/// resolved record, which the planner, the plan cache and the plan key all
+/// read. Adding an axis means adding a field here and to fields().
+struct ExecOptions {
+  Method method = Method::Auto;  ///< Kernel method (Auto = fold cost model).
+  Isa isa = Isa::Auto;           ///< ISA level (Auto = widest supported).
+  Tiling tiling = Tiling::Auto;  ///< Split-tiling policy.
+  int threads = 0;     ///< Pool workers for tiled stages (0 = default).
   int tile = 0;        ///< Explicit tile extent (0 = negotiate/tune).
   int time_block = 0;  ///< Explicit time block (0 = negotiate/tune).
-  Affinity affinity = Affinity::None;  ///< Worker placement policy (the
-                                       ///< Engine resolves SF_AFFINITY
-                                       ///< before building the request).
-  Pipeline pipeline = Pipeline::Auto;  ///< Wedge-stage synchronization
-                                       ///< (the Engine resolves SF_PIPELINE
-                                       ///< before building the request;
-                                       ///< Auto defers to run time).
-  int levels = 1;  ///< Requested tile-tree depth (1 = flat, 2 = + LLC
-                   ///< mid level, 3 = + register-block leaf). The Engine
-                   ///< resolves ExecOptions::levels / SF_TILE_LEVELS /
-                   ///< the Auto working-set heuristic before building the
-                   ///< request; plan_execution clamps to what actually
-                   ///< engages (ExecutionPlan::tree reports the result).
+  int tsteps = 0;  ///< Planning horizon in time steps (0 = preset default).
+                   ///< run() may execute a different horizon; the captured
+                   ///< geometry is simply re-clamped by the engine.
+  Layout layout = Layout::Natural;
+  ///< Resident field layout run()/advance() will accept in addition to
+  ///< Layout::Natural. Layout::Natural (the default) keeps the historical
+  ///< contract: only natural-layout views are accepted and layout-using
+  ///< kernels transform in/out on every call. Requesting the selected
+  ///< kernel's preferred layout (PreparedStencil::preferred_layout(),
+  ///< Transposed for the "ours" methods) lets callers keep their buffers
+  ///< in that layout across an advance() stream — transform once via
+  ///< to_resident_layout(), then every call skips the involution.
+  ///< prepare() throws when the layout is not the kernel's preference.
+  HaloPolicy halo_policy = HaloPolicy::Sync;
+  ///< Per-call halo handling; see HaloPolicy.
+  Affinity affinity = Affinity::None;
+  ///< Worker placement of the tiled stages (runtime/topology.hpp): the
+  ///< prepared plan's pool pins its workers per this policy and the
+  ///< placement map assigns them tile ranges. Affinity::None (default)
+  ///< leaves workers unpinned — results are bitwise identical across
+  ///< policies; placement changes locality only. When left at None the
+  ///< process-wide `SF_AFFINITY` default applies.
+  int levels = 0;
+  ///< Requested tile-tree depth (see TileTree): 1 keeps the flat one-level
+  ///< plan, 2/3 engage the hierarchical LLC/register blocking negotiation,
+  ///< -1 picks the depth from the working set vs the LLC (Auto), and 0
+  ///< (the default) defers to the process-wide `SF_TILE_LEVELS` default.
+  ///< prepare() resolves it to 1..3 and rejects values outside [-1, 3];
+  ///< the planner clamps to what actually engages (ExecutionPlan::tree).
+  bool validate = true;
+  ///< Per-call FieldView validation in run()/advance(). Default on; the
+  ///< debug-only escape hatch (`validate = false`, or `SF_VALIDATE=0`
+  ///< process-wide) removes the residual O(1) checks from streaming
+  ///< advance() loops — combined with HaloPolicy::Clean a call is then
+  ///< pure kernel dispatch. Invalid views are undefined behavior once
+  ///< validation is off; keep it on everywhere except profiled-clean
+  ///< streaming hot loops.
+
+  /// Every field, in declaration order: the one list the plan-cache
+  /// equality and the plan-key hash read.
+  auto fields() const {
+    return std::tie(method, isa, tiling, threads, tile, time_block, tsteps,
+                    layout, halo_policy, affinity, levels, validate);
+  }
+  /// Field-wise equality over fields().
+  bool operator==(const ExecOptions& o) const { return fields() == o.fields(); }
+};
+
+/// The hierarchical blocking of a tiled plan along its one tessellated axis
+/// (x in 1-D, y in 2-D, z in 3-D): a fixed chain of at most three levels,
+/// outermost first. A zero extent means the level is not engaged.
+///  1. shard — the contiguous run of wedge tiles one pool worker owns
+///     (PlacementPlan ownership; the unit a NUMA node holds);
+///  2. tile — the wedge tile extent; on engaged trees capped so one tile's
+///     ping-pong working set fits a worker's share of the LLC;
+///  3. leaf — the kernel's vector/fold quantum (KernelInfo::reg_block),
+///     the granule the tile is rounded to.
+///
+/// A flat plan engages the tile level only; untiled plans engage none. The
+/// wedge scheduler walks this structure implicitly — the shard is its
+/// per-worker owned-tile loop, the leaf one wedge — with the same fused
+/// walk at every depth.
+struct TileTree {
+  int shard = 0;  ///< Worker shard extent (0 = not engaged). Shards may
+                  ///< differ by one wedge tile; this is the largest.
+  int tile = 0;   ///< Wedge tile extent (the last tile may be ragged).
+  int leaf = 0;   ///< Register-block extent (0 = not engaged).
+
+  /// Number of engaged levels: 0 untiled, 1 flat, up to 3.
+  int depth() const { return (shard > 0) + (tile > 0) + (leaf > 0); }
+};
+
+/// Everything plan_execution() needs to decide how a run executes: the
+/// stencil, the selected kernel, the resolved extents (1 below the
+/// stencil's dimensionality) and the resolved options (tsteps > 0, threads
+/// 0 = hardware threads, levels 1..3 — see Engine::prepare()).
+struct PlanRequest {
+  const StencilSpec& spec;    ///< The stencil being solved.
+  const KernelInfo& kernel;   ///< The kernel selected for it.
+  Extents ext;                ///< Resolved extents.
+  const ExecOptions& opts;    ///< Resolved options.
 };
 
 /// How one Solver run will execute: untiled kernel call, or the split-tiled
@@ -132,12 +186,11 @@ struct ExecutionPlan {
                             ///< Engine's first-touch initialization walks
                             ///< it so a worker's tiles live on its node.
   PlanSource source = PlanSource::Untiled;  ///< Provenance of the geometry.
-  TileTree tree;  ///< The hierarchical blocking of a tiled plan, outermost
-                  ///< level first (see TileTree). Flat plans carry the
-                  ///< degenerate one-level tree whose extent is the wedge
-                  ///< tile; engaged multi-level plans additionally report
-                  ///< the worker-shard and register-block levels. Untiled
-                  ///< plans leave it empty (extent 0).
+  TileTree tree;  ///< The hierarchical blocking of a tiled plan (see
+                  ///< TileTree): flat plans engage only the tile level,
+                  ///< engaged multi-level plans add the worker shard and
+                  ///< register block; untiled plans leave it empty. Its
+                  ///< depth() is the engaged depth the tuner keys on.
 };
 
 /// The largest radius the selected kernel must read with: the stencil's own

@@ -97,27 +97,25 @@ std::vector<int> tile_candidates(long n, int slope, int threads,
 // Builder
 // ---------------------------------------------------------------------------
 
-Solver& Solver::size(long nx, long ny, long nz) {
-  cfg_.nx = nx;
-  cfg_.ny = ny;
-  cfg_.nz = nz;
+Solver& Solver::replan() {
   selected_ = nullptr;
   prepared_ = PreparedStencil{};
   return *this;
+}
+
+Solver& Solver::size(long nx, long ny, long nz) {
+  cfg_.ext = Extents{nx, ny, nz};
+  return replan();
 }
 
 Solver& Solver::steps(int tsteps) {
-  cfg_.tsteps = tsteps;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.tsteps = tsteps;
+  return replan();
 }
 
 Solver& Solver::method(Method m) {
-  cfg_.method = m;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.method = m;
+  return replan();
 }
 
 Solver& Solver::method(const std::string& name) {
@@ -125,59 +123,38 @@ Solver& Solver::method(const std::string& name) {
 }
 
 Solver& Solver::isa(Isa v) {
-  cfg_.isa = v;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.isa = v;
+  return replan();
 }
 
 Solver& Solver::tiling(Tiling mode) {
-  cfg_.tiling = mode;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.tiling = mode;
+  return replan();
 }
 
 Solver& Solver::threads(int n) {
-  cfg_.threads = n;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.threads = n;
+  return replan();
 }
 
 Solver& Solver::affinity(Affinity a) {
-  cfg_.affinity = a;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
-}
-
-Solver& Solver::pipeline(Pipeline p) {
-  cfg_.pipeline = p;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.affinity = a;
+  return replan();
 }
 
 Solver& Solver::levels(int depth) {
-  cfg_.levels = depth;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.levels = depth;
+  return replan();
 }
 
 Solver& Solver::tile(int extent) {
-  cfg_.tile = extent;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.tile = extent;
+  return replan();
 }
 
 Solver& Solver::time_block(int steps) {
-  cfg_.time_block = steps;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  cfg_.opts.time_block = steps;
+  return replan();
 }
 
 Solver& Solver::tune(bool on) {
@@ -187,9 +164,7 @@ Solver& Solver::tune(bool on) {
 
 Solver& Solver::resident_layout(bool on) {
   cfg_.resident = on;
-  selected_ = nullptr;
-  prepared_ = PreparedStencil{};
-  return *this;
+  return replan();
 }
 
 Solver& Solver::seed(std::uint64_t s) {
@@ -203,67 +178,25 @@ Solver& Solver::seed(std::uint64_t s) {
 
 Solver& Solver::resolve() {
   if (selected_ != nullptr) return *this;
-  // Each unset (0) extent independently defaults to the preset's fast-run
-  // size, so size(nx) on a 2-D problem keeps the preset's ny rather than
-  // silently degenerating to nx x 1.
-  if (cfg_.nx == 0) cfg_.nx = cfg_.spec.small_size[0];
-  if (cfg_.ny == 0)
-    cfg_.ny = cfg_.spec.dims >= 2 ? cfg_.spec.small_size[1] : 1;
-  if (cfg_.nz == 0)
-    cfg_.nz = cfg_.spec.dims >= 3 ? cfg_.spec.small_size[2] : 1;
-  if (cfg_.tsteps == 0) cfg_.tsteps = static_cast<int>(cfg_.spec.small_tsteps);
-
-  prepared_ = Engine::instance().prepare(
-      cfg_.spec, Extents{cfg_.nx, cfg_.ny, cfg_.nz}, exec_options());
+  Engine& eng = Engine::instance();
+  prepared_ = eng.prepare(cfg_.spec, cfg_.ext, cfg_.opts);
   if (cfg_.resident && prepared_.preferred_layout() != Layout::Natural) {
     // Re-prepare with the now-known preferred layout so the handle accepts
     // resident views; the first preparation stays cached and is shared by
     // any non-resident Solver of the same configuration.
-    ExecOptions o = exec_options();
+    ExecOptions o = cfg_.opts;
     o.layout = prepared_.preferred_layout();
-    prepared_ = Engine::instance().prepare(
-        cfg_.spec, Extents{cfg_.nx, cfg_.ny, cfg_.nz}, o);
+    prepared_ = eng.prepare(cfg_.spec, cfg_.ext, o);
   }
+  // Keep the extents and horizon the Engine resolved: each unset (0) one
+  // independently took the preset's fast-run default, so size(nx) on a
+  // 2-D problem keeps the preset's ny rather than degenerating to nx x 1.
+  cfg_.ext = Extents{prepared_.nx(), prepared_.ny(), prepared_.nz()};
+  cfg_.opts.tsteps = prepared_.tsteps();
   selected_ = &prepared_.kernel();
   halo_ = prepared_.halo();
   plan_ = prepared_.plan();
   return *this;
-}
-
-ExecOptions Solver::exec_options() const {
-  ExecOptions o;
-  o.method = cfg_.method;
-  o.isa = cfg_.isa;
-  o.tiling = cfg_.tiling;
-  o.threads = cfg_.threads;
-  o.tile = cfg_.tile;
-  o.time_block = cfg_.time_block;
-  o.tsteps = cfg_.tsteps;
-  o.affinity = cfg_.affinity;
-  o.pipeline = cfg_.pipeline;
-  o.levels = cfg_.levels;
-  return o;
-}
-
-PlanRequest Solver::plan_request() const {
-  PlanRequest req;
-  req.spec = &cfg_.spec;
-  req.kernel = selected_;
-  req.nx = cfg_.nx;
-  req.ny = cfg_.ny;
-  req.nz = cfg_.nz;
-  req.tsteps = cfg_.tsteps;
-  req.tiling = cfg_.tiling;
-  req.threads = cfg_.threads;
-  req.tile = cfg_.tile;
-  req.time_block = cfg_.time_block;
-  req.affinity = cfg_.affinity;
-  req.pipeline = cfg_.pipeline;
-  // The *engaged* depth of the resolved plan (plan_request requires a
-  // selected kernel, so plan_ is live): re-planning from this request
-  // re-derives the same tree the Engine negotiated.
-  req.levels = plan_.tile.levels;
-  return req;
 }
 
 const KernelInfo& Solver::kernel() { return *resolve().selected_; }
@@ -283,10 +216,11 @@ int Solver::halo() { return resolve().halo_; }
 //
 // The search runs its axes in sequence rather than their full product
 // (additive, not multiplicative, probe counts):
-//  0. tree plans only (TilePlan::levels >= 2), staged ahead of the tile
-//     axis: leaf (register-block) granules 1x/2x/4x KernelInfo::reg_block —
-//     the planner's mid tile re-aligned down to each granule and measured,
-//     so the L3-tile axis then searches leaf-aligned extents;
+//  0. tree plans only (ExecutionPlan::tree depth >= 2), staged ahead of
+//     the tile axis: leaf (register-block) granules 1x/2x/4x
+//     KernelInfo::reg_block — the planner's mid tile re-aligned down to
+//     each granule and measured, so the L3-tile axis then searches
+//     leaf-aligned extents;
 //  1. tile extents, each probed at the block height the Fig. 7 heuristic
 //     yields for it — the heuristic is the probe seed, never skipped;
 //  2. (tile × time_block) pairs: the winning tile re-measured at halved
@@ -299,21 +233,27 @@ template <int D, class P, class G>
 void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
                        const FieldView1D* kk) {
   if (!(plan_.tiled && plan_.blocked && (cfg_.tune || tune_forced()) &&
-        plan_.source == PlanSource::Heuristic && cfg_.tile == 0 &&
-        cfg_.time_block == 0))
+        plan_.source == PlanSource::Heuristic && cfg_.opts.tile == 0 &&
+        cfg_.opts.time_block == 0))
     return;
-  const long n_tiled = D == 1 ? cfg_.nx : D == 2 ? cfg_.ny : cfg_.nz;
+  const Extents& ext = cfg_.ext;
+  const int tsteps = cfg_.opts.tsteps;
+  const long n_tiled = D == 1 ? ext.nx : D == 2 ? ext.ny : ext.nz;
   const int m = std::max(1, selected_->fold_depth);
   const int slope = selected_->wedge_slope(p.radius());
   // One uniform probe horizon for every candidate: fixed per-call
   // overheads (layout transposes in/out, stage fork/join) amortize
   // identically and cancel out of the ranking.
-  const int probe_steps = std::min(cfg_.tsteps, std::max(2 * m, 48));
+  const int probe_steps = std::min(tsteps, std::max(2 * m, 48));
   const int base_threads = plan_.tile.threads;  // the resolved count
-  PlanRequest treq = plan_request();
-  treq.threads = base_threads;
-  treq.affinity = plan_.tile.affinity;
-  treq.tsteps = probe_steps;
+  // The planner request of every probe: this Solver's options at the
+  // resolved thread count and the probe horizon. `treq` reads `probe_opts`
+  // by reference, so each axis below just sets the candidate fields.
+  ExecOptions probe_opts = cfg_.opts;
+  probe_opts.threads = base_threads;
+  probe_opts.affinity = plan_.tile.affinity;
+  probe_opts.tsteps = probe_steps;
+  const PlanRequest treq{cfg_.spec, *selected_, ext, probe_opts};
 
   auto probe = [&](int tile_c, int tb_c, int thr_c, int steps) {
     TilePlan cand = plan_.tile;
@@ -337,15 +277,15 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
     probe(tile_c, tb_c, thr_c, probe_steps);
     const double sec = timer.seconds();
     if (tune_log.live()) {
-      const double gflops = flops_per_step(cfg_.spec, cfg_.nx, cfg_.ny,
-                                           cfg_.nz) *
-                            probe_steps / sec / 1e9;
+      const double gflops =
+          flops_per_step(cfg_.spec, ext.nx, ext.ny, ext.nz) * probe_steps /
+          sec / 1e9;
       tune_log.append(
           {selected_->name, isa_name(selected_->isa),
            std::to_string(cfg_.spec.dims),
            std::to_string(effective_radius(cfg_.spec)),
-           std::to_string(cfg_.nx), std::to_string(cfg_.ny),
-           std::to_string(cfg_.nz), std::to_string(probe_steps),
+           std::to_string(ext.nx), std::to_string(ext.ny),
+           std::to_string(ext.nz), std::to_string(probe_steps),
            std::to_string(thr_c), std::to_string(tile_c),
            std::to_string(tb_c), std::to_string(sec),
            std::to_string(gflops)});
@@ -363,21 +303,20 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   // A granule only survives as provenance (TunedGeometry::leaf) when its
   // aligned tile actually measured fastest so far; the axis-1 candidates
   // are then rounded to it, keeping the winner leaf-aligned.
-  if (plan_.tile.levels >= 2) {
+  if (plan_.tree.depth() >= 2) {
     const int q = std::max(1, selected_->reg_block());
     for (int mult : {1, 2, 4}) {
       const int granule = q * mult;
       const int aligned = plan_.tile.tile / granule * granule;
       if (granule < 2 || aligned < 3 * slope) continue;
-      treq.tile = aligned;
-      treq.time_block = 0;
+      probe_opts.tile = aligned;
+      probe_opts.time_block = 0;
       const WedgeGeometry g = plan_geometry(treq);
       if (!g.blocked) continue;
       if (!warmed) {
         // Untimed warmup: absorbs one-time costs (pool creation, page
         // faults) so they don't land on the first measured candidate.
-        probe(g.tile, g.time_block, base_threads,
-              std::min(cfg_.tsteps, 2 * m));
+        probe(g.tile, g.time_block, base_threads, std::min(tsteps, 2 * m));
         warmed = true;
       }
       const double sec = measure(g.tile, g.time_block, base_threads);
@@ -397,8 +336,8 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   for (int c :
        tile_candidates(n_tiled, slope, base_threads, plan_.tile.tile)) {
     if (best_leaf > 1) c = std::max(best_leaf, c / best_leaf * best_leaf);
-    treq.tile = c;
-    treq.time_block = 0;
+    probe_opts.tile = c;
+    probe_opts.time_block = 0;
     const WedgeGeometry g = plan_geometry(treq);
     if (g.blocked &&
         std::find(cands.begin(), cands.end(),
@@ -408,7 +347,7 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   if (cands.empty() && !warmed) return;  // nothing measurable at all
   if (!warmed && !cands.empty())
     probe(cands.front().first, cands.front().second, base_threads,
-          std::min(cfg_.tsteps, 2 * m));
+          std::min(tsteps, 2 * m));
   for (const auto& [tile_c, tb_c] : cands) {
     const double sec = measure(tile_c, tb_c, base_threads);
     if (sec < best_sec) {
@@ -424,13 +363,13 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   // back down), so the taller-block direction is explored through wider
   // tiles on axis 1. A non-heuristic winner is deployed (and recorded)
   // explicitly.
-  treq.tile = best_tile;
-  treq.time_block = 0;
+  probe_opts.tile = best_tile;
+  probe_opts.time_block = 0;
   const int heur_tb = plan_geometry(treq).time_block;
   for (int tb_c : {std::max(m, heur_tb / 2 / m * m),
                    std::max(m, heur_tb / 4 / m * m)}) {
     if (tb_c == heur_tb) continue;
-    treq.time_block = tb_c;
+    probe_opts.time_block = tb_c;
     const WedgeGeometry g = plan_geometry(treq);
     if (!g.blocked || g.time_block == heur_tb || g.time_block == best_tb)
       continue;
@@ -451,9 +390,9 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   for (int thr_c : thr_cands) {
     if (thr_c <= 0 || thr_c == base_threads || thr_c > base_threads)
       continue;
-    treq.threads = thr_c;
-    treq.tile = best_tile;
-    treq.time_block = best_tb;
+    probe_opts.threads = thr_c;
+    probe_opts.tile = best_tile;
+    probe_opts.time_block = best_tb;
     const WedgeGeometry g = plan_geometry(treq);
     if (!g.blocked) continue;
     const double sec = measure(g.tile, g.time_block, thr_c);
@@ -468,26 +407,25 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
   // winning tile at the full horizon (so a tuned plan never trades away
   // the tall blocks an untuned plan would use); the winning thread count
   // only when the axis actually moved it (0 = "deploy with the key's").
-  treq.tsteps = cfg_.tsteps;
-  treq.threads = best_thr;
-  treq.tile = best_tile;
-  treq.time_block = best_tb;
+  probe_opts.tsteps = tsteps;
+  probe_opts.threads = best_thr;
+  probe_opts.tile = best_tile;
+  probe_opts.time_block = best_tb;
   const WedgeGeometry deployed = plan_geometry(treq);
   TuneCache::instance().store(
-      make_tune_key(*selected_, effective_radius(cfg_.spec), cfg_.nx, cfg_.ny,
-                    cfg_.nz, cfg_.tsteps, base_threads, plan_.tile.levels),
+      make_tune_key(*selected_, effective_radius(cfg_.spec), ext.nx, ext.ny,
+                    ext.nz, tsteps, base_threads, plan_.tree.depth()),
       TunedGeometry{deployed.tile, deployed.time_block,
                     best_thr != base_threads ? best_thr : 0, best_leaf});
   // The store invalidated this configuration's cached plan (per-key), so
   // this re-prepare re-plans and recalls the geometry just recorded: the
   // prepared handle the timed run executes through carries the tuned plan.
   // The resident-layout acceptance of the handle being replaced is carried
-  // forward — exec_options() alone never requests it (resolve() negotiates
-  // it against the kernel's preference).
-  ExecOptions tuned_opts = exec_options();
+  // forward — the builder options alone never request it (resolve()
+  // negotiates it against the kernel's preference).
+  ExecOptions tuned_opts = cfg_.opts;
   tuned_opts.layout = prepared_.resident_layout();
-  prepared_ = Engine::instance().prepare(
-      cfg_.spec, Extents{cfg_.nx, cfg_.ny, cfg_.nz}, tuned_opts);
+  prepared_ = Engine::instance().prepare(cfg_.spec, ext, tuned_opts);
   plan_ = prepared_.plan();
   plan_.source = PlanSource::Tuned;  // report provenance, not cache recall
   fill_random(a, cfg_.seed);  // probes clobbered the initial state
@@ -500,20 +438,22 @@ void Solver::tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
 RunResult Solver::run_impl(bool verify) {
   resolve();
   const StencilSpec& s = cfg_.spec;
+  const Extents& ext = cfg_.ext;
+  const int tsteps = cfg_.opts.tsteps;
 
   return dispatch_dims(s.dims, [&](auto dc) -> RunResult {
     constexpr int D = std::decay_t<decltype(dc)>::value;
     const auto& p = s.pattern<D>();
 
-    if (ws_.dims != D || ws_.halo != halo_ || ws_.nx != cfg_.nx ||
-        ws_.ny != cfg_.ny || ws_.nz != cfg_.nz ||
+    if (ws_.dims != D || ws_.halo != halo_ || ws_.nx != ext.nx ||
+        ws_.ny != ext.ny || ws_.nz != ext.nz ||
         ws_.affinity != prepared_.affinity()) {
       ws_ = Workspace{};
       ws_.dims = D;
       ws_.halo = halo_;
-      ws_.nx = cfg_.nx;
-      ws_.ny = cfg_.ny;
-      ws_.nz = cfg_.nz;
+      ws_.nx = ext.nx;
+      ws_.ny = ext.ny;
+      ws_.nz = ext.nz;
       ws_.affinity = prepared_.affinity();
     }
     auto& A = ws_a<D>(ws_);
@@ -525,8 +465,8 @@ RunResult Solver::run_impl(bool verify) {
       // (the serial fill below only overwrites already-placed pages).
       const bool ft = prepared_.pool() != nullptr &&
                       prepared_.affinity() != Affinity::None;
-      A.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_, !ft));
-      B.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_, !ft));
+      A.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo_, !ft));
+      B.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo_, !ft));
       if (ft) {
         prepared_.first_touch(A->view());
         prepared_.first_touch(B->view());
@@ -538,7 +478,8 @@ RunResult Solver::run_impl(bool verify) {
     [[maybe_unused]] const FieldView1D* kk = nullptr;
     if constexpr (D == 1) {
       if (s.has_source) {
-        if (!ws_.k1) ws_.k1.emplace(make_grid<1>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));
+        if (!ws_.k1)
+          ws_.k1.emplace(make_grid<1>(ext.nx, ext.ny, ext.nz, halo_));
         fill_random(*ws_.k1, cfg_.seed + 1);
         src = &s.src1;
         kview = ws_.k1->view();
@@ -566,16 +507,16 @@ RunResult Solver::run_impl(bool verify) {
     }
 
     RunResult res;
-    res.tsteps = cfg_.tsteps;
-    res.points = cfg_.nx * (D >= 2 ? cfg_.ny : 1) * (D >= 3 ? cfg_.nz : 1);
+    res.tsteps = tsteps;
+    res.points = ext.nx * (D >= 2 ? ext.ny : 1) * (D >= 3 ? ext.nz : 1);
     Timer timer;
     if constexpr (D == 1) {
       if (kk != nullptr)
-        prepared_.run(av, bv, kview, cfg_.tsteps);
+        prepared_.run(av, bv, kview, tsteps);
       else
-        prepared_.run(av, bv, cfg_.tsteps);
+        prepared_.run(av, bv, tsteps);
     } else {
-      prepared_.run(av, bv, cfg_.tsteps);
+      prepared_.run(av, bv, tsteps);
     }
     do_not_optimize(A->data());
     res.seconds = timer.seconds();
@@ -586,8 +527,8 @@ RunResult Solver::run_impl(bool verify) {
         if (kk != nullptr) kview = to_natural_layout(prepared_, kview);
       }
     }
-    res.gflops = flops_per_step(s, cfg_.nx, cfg_.ny, cfg_.nz) *
-                 static_cast<double>(cfg_.tsteps) / res.seconds / 1e9;
+    res.gflops = flops_per_step(s, ext.nx, ext.ny, ext.nz) *
+                 static_cast<double>(tsteps) / res.seconds / 1e9;
 
     if (verify) {
       // Untimed reference on identical inputs; the timed run's own output
@@ -595,15 +536,15 @@ RunResult Solver::run_impl(bool verify) {
       auto& RA = ws_ra<D>(ws_);
       auto& RB = ws_rb<D>(ws_);
       if (!RA) {
-        RA.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));
-        RB.emplace(make_grid<D>(cfg_.nx, cfg_.ny, cfg_.nz, halo_));
+        RA.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo_));
+        RB.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo_));
       }
       fill_random(*RA, cfg_.seed);
       copy(*RA, *RB);
       if constexpr (D == 1)
-        run_reference(p, *RA, *RB, cfg_.tsteps, src, kk);
+        run_reference(p, *RA, *RB, tsteps, src, kk);
       else
-        run_reference(p, *RA, *RB, cfg_.tsteps);
+        run_reference(p, *RA, *RB, tsteps);
       res.max_error = max_abs_diff(*A, *RA);
     }
     return res;

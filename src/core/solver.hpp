@@ -139,17 +139,11 @@ class Solver {
   /// allocated first-touch: each pinned worker touches its own tiles'
   /// pages, so they land on its NUMA node.
   Solver& affinity(Affinity a);
-  /// Cross-block synchronization of the parallel wedge stages: Pipeline::On
-  /// (point-to-point neighbor sync, the default via Auto and `SF_PIPELINE`)
-  /// or Pipeline::Off (the historical global stage barriers). Results are
-  /// bitwise identical either way; Off keeps the barrier schedule
-  /// selectable for comparison benchmarks.
-  Solver& pipeline(Pipeline p);
   /// Tile-tree depth of the plan (core/execution_plan.hpp TileTree): 1 =
   /// flat (the historical plan), 2/3 = hierarchical LLC/register blocking,
   /// -1 = Auto (depth from working set vs LLC), 0 (the default) = the
-  /// process-wide `SF_TILE_LEVELS` default. Results are bitwise identical
-  /// across depths; only cache locality changes.
+  /// process-wide `SF_TILE_LEVELS` default. Engaged depths cap the tile;
+  /// every depth runs the same fused tile walk.
   Solver& levels(int depth);
   /// Explicit tile extent along the tiled dimension (0 = negotiate/tune).
   Solver& tile(int extent);
@@ -197,13 +191,13 @@ class Solver {
   /// geometry that actually executed.
   const ExecutionPlan& plan() { return resolve().plan_; }
   /// Resolved x extent.
-  long nx() { return resolve().cfg_.nx; }
+  long nx() { return resolve().cfg_.ext.nx; }
   /// Resolved y extent (1 below 2-D).
-  long ny() { return resolve().cfg_.ny; }
+  long ny() { return resolve().cfg_.ext.ny; }
   /// Resolved z extent (1 below 3-D).
-  long nz() { return resolve().cfg_.nz; }
+  long nz() { return resolve().cfg_.ext.nz; }
   /// Resolved time-step horizon.
-  int tsteps() { return resolve().cfg_.tsteps; }
+  int tsteps() { return resolve().cfg_.opts.tsteps; }
 
   // ---- execution --------------------------------------------------------
   /// One timed run; result grids live in the Solver-owned workspace.
@@ -218,33 +212,22 @@ class Solver {
 
  private:
   /// The whole problem specification in one copyable bundle, so Solver's
-  /// copy operations cannot silently miss a future builder field.
+  /// copy operations cannot silently miss a future builder field. `opts`
+  /// is the Engine's options record; resolve() writes the resolved extents
+  /// and horizon back.
   struct Config {
     StencilSpec spec;
-    Method method = Method::Auto;
-    Isa isa = Isa::Auto;
-    long nx = 0, ny = 0, nz = 0;
-    int tsteps = 0;
-    Tiling tiling = Tiling::Auto;
-    int threads = 0;
-    int tile = 0;
-    int time_block = 0;
-    Affinity affinity = Affinity::None;
-    Pipeline pipeline = Pipeline::Auto;
-    int levels = 0;
+    Extents ext;
+    ExecOptions opts;
     bool tune = false;
     bool resident = false;
     std::uint64_t seed = 42;
   };
 
   explicit Solver(const StencilSpec& spec) { cfg_.spec = spec; }
+  /// Drops the prepared state after a builder change; returns *this.
+  Solver& replan();
   RunResult run_impl(bool verify);
-  /// The planner request for the current configuration (requires a
-  /// selected kernel). Built in one place so resolve() and the tuning pass
-  /// can never disagree on the request fields.
-  PlanRequest plan_request() const;
-  /// The Engine prepare options for the current configuration.
-  ExecOptions exec_options() const;
   /// The measure-once auto-tuning pass: when enabled and the plan is a
   /// blocked heuristic one, probes candidates on (a, b) along staged axes
   /// in sequence — leaf (register-block) granules first for tree plans,

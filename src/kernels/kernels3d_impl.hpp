@@ -47,8 +47,9 @@ void step_planes_dlt3d(const Pattern3D& p, const FieldView3D& in, const FieldVie
 
 /// Shape of the folded-3D sliding plane window for a domain of row extent
 /// `nx` at SIMD width `W`: buffer count and doubles per buffer. The single
-/// source of the sizing — folded3d_advance's fits-check and the Engine's
-/// per-worker arena pre-sizing both call it, so they can never drift.
+/// source of the sizing — folded3d_advance's fits-check and the wedge
+/// schedule's per-worker arena prologue both call it, so they can never
+/// drift.
 struct Folded3DWindowShape {
   std::size_t nbufs = 0;    ///< (2R+1) window slots x counterpart sources.
   std::size_t doubles = 0;  ///< Per-buffer capacity in doubles.

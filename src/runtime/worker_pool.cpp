@@ -341,14 +341,6 @@ void WorkerPool::parallel_for(int begin, int end,
   });
 }
 
-void WorkerPool::ensure_arena(std::size_t nbufs, std::size_t doubles_each) {
-  // Arenas are worker-owned and may be resized by a concurrently running
-  // pool task (folded3d_advance grows a mismatched window mid-stage), so
-  // only the owner inspects its vector: the satisfied-check runs inside
-  // the task, where run()'s serialization orders it against other tasks.
-  run([&](int w) { ensure_arena_local(w, nbufs, doubles_each); });
-}
-
 void WorkerPool::ensure_arena_local(int w, std::size_t nbufs,
                                     std::size_t doubles_each) {
   std::vector<AlignedBuffer>& a = arena(w);

@@ -192,26 +192,21 @@ class WorkerPool {
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
   /// Worker `w`'s scratch-buffer arena. The buffers live for the pool's
-  /// lifetime and are allocated *by* worker `w` (ensure_arena), so their
-  /// pages are first-touched on the worker's NUMA node. The tiled 3-D
+  /// lifetime and are allocated *by* worker `w` (ensure_arena_local), so
+  /// their pages are first-touched on the worker's NUMA node. The tiled 3-D
   /// folded stage keeps its sliding plane window here.
   std::vector<AlignedBuffer>& arena(int w) {
     return workers_[static_cast<std::size_t>(w)].arena;
   }
 
-  /// Ensures every worker's arena holds exactly `nbufs` buffers of at
-  /// least `doubles_each` doubles, (re)allocated on the owning worker so
-  /// first touch places the pages. No-op when already satisfied (the
-  /// workspace survives across Engine::prepare calls and runs).
-  void ensure_arena(std::size_t nbufs, std::size_t doubles_each);
-
-  /// Worker-side body of ensure_arena() for a single arena: checks, and if
-  /// needed (re)allocates + zeroes, worker `w`'s arena. Must be called from
-  /// a task already running on worker `w` (arenas are worker-owned; only
-  /// the owner may inspect or resize its vector) — the pipelined wedge
+  /// Ensures worker `w`'s arena holds exactly `nbufs` buffers of at least
+  /// `doubles_each` doubles, (re)allocating and zeroing them on the calling
+  /// worker so first touch places the pages; a no-op when already
+  /// satisfied (the arena survives across runs). Must be called from a
+  /// task already running on worker `w` (arenas are worker-owned; only the
+  /// owner may inspect or resize its vector) — the pipelined wedge
   /// prologue uses this to fold the first-touch zeroing into the slot that
-  /// already overlaps the first super-step instead of paying a separate
-  /// pool dispatch at prepare time.
+  /// already overlaps the first super-step.
   void ensure_arena_local(int w, std::size_t nbufs, std::size_t doubles_each);
 
  private:

@@ -163,7 +163,7 @@ void exit_dump() {
 void load_env_locked() SF_REQUIRES(env_mu) {
   env_state.metrics = env_flag("SF_METRICS");
   env_state.trace = env_flag("SF_TRACE");
-  const long cap = env_long("SF_TRACE_BUF", 8192);
+  const long cap = env_long("SF_TRACE_BUF", 8192, 0, INT_MAX);
   env_state.trace_cap = cap < 16 ? 16 : static_cast<int>(cap);
   env_state.out_dir = env_str("SF_TELEMETRY_OUT");
   env_loaded = true;

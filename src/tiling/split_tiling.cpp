@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/env.hpp"
 #include "fold/folding_plan.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/kernels2d_impl.hpp"
@@ -39,10 +38,9 @@ struct WedgePlan {
   int tile = 0;
   int H = 0;      // super-steps per time block
   int threads = 1;
-  int levels = 1;  // engaged tile-tree depth (TilePlan::levels)
   Affinity affinity = Affinity::None;
   bool blocked = true;   // false: domain too small, run unblocked
-  bool pipeline = true;  // false: legacy global-barrier stage schedule
+  bool barrier = false;  // TilePlan::barrier: global-barrier stage schedule
 };
 
 /// Internal view of negotiate_wedge() with time measured in super-steps.
@@ -57,22 +55,20 @@ WedgePlan make_plan(int n, int slope, int super_steps, const TilePlan& opt,
   w.tile = g.tile;
   w.H = std::max(1, g.time_block / m);
   w.threads = g.threads;
-  w.levels = std::max(1, opt.levels);
   w.affinity = opt.affinity;
   w.blocked = g.blocked;
-  w.pipeline = opt.pipeline == Pipeline::On ||
-               (opt.pipeline == Pipeline::Auto && env_pipeline());
+  w.barrier = opt.barrier;
   return w;
 }
 
 /// True when the wedge schedule will run its point-to-point pipelined path:
-/// a real pool, more than one worker, the plan asks for it, and the caller
+/// a real pool, more than one worker, no barrier hook, and the caller
 /// is not itself a worker of that pool (a nested pipelined task cannot run
 /// inline — worker w's waits on w+1 would never be satisfied in index
 /// order — so nested runs keep the barrier schedule, which degrades to
 /// inline serial stages safely).
 bool pipelined_schedule(const WedgePlan& w, WorkerPool* pool) {
-  return pool != nullptr && w.pipeline && pool->threads() > 1 &&
+  return pool != nullptr && !w.barrier && pool->threads() > 1 &&
          !pool->on_worker_thread();
 }
 
@@ -96,34 +92,30 @@ std::shared_ptr<WorkerPool> plan_pool(const WedgePlan& w) {
 /// ownership map assigns it — the same contiguous chunks OpenMP's
 /// schedule(static) produced, and the same map the planner reports
 /// (ExecutionPlan::placement) and first_touch() initializes by, so a
-/// worker's tiles stay on its NUMA node across all super-steps.
+/// worker's tiles stay on its NUMA node across all super-steps. That owned
+/// range [t0, t1) is the shard level of the plan's tile tree
+/// (core/execution_plan.hpp TileTree), each owned tile is one tile-level
+/// extent, and one wedge is the leaf execution.
 ///
-/// That per-worker tile loop is also how the schedule walks a hierarchical
-/// tile tree (core/execution_plan.hpp TileTree): the worker's owned range
-/// [t0, t1) *is* the top (shard) level, each owned tile is one mid-level
-/// (LLC-capped, leaf-rounded) tile, and one wedge is the leaf execution.
-/// Flat plans are the degenerate one-tile-per-worker walk.
+/// The walk fuses the two sweeps: the inverted wedge at an interior tile
+/// boundary kt depends only on the up wedges at kt-1 and kt (the
+/// blocked-geometry guarantee keeps every other wedge pair disjoint), so a
+/// worker runs up(kt) immediately followed by down(kt) and the flank rows
+/// the down wedge consumes are the ones the two preceding up wedges just
+/// wrote — a reuse distance of one tile instead of the worker's whole
+/// shard. Only the boundary wedge at t0 reads another worker's rows; it
+/// waits behind the stage synchronization. Each (row, parity) value is
+/// written exactly once per block by the same adv call whatever the
+/// interleaving, so results are bitwise independent of the worker count
+/// and of the schedule. A worker that owns one tile (the default parallel
+/// plan) runs exactly up(t0), then down(t0).
 ///
-/// Tree plans (w.levels >= 2) additionally *fuse* the two sweeps: the
-/// inverted wedge at an interior tile boundary kt depends only on the up
-/// wedges at kt-1 and kt (the blocked-geometry guarantee keeps every other
-/// wedge pair disjoint), so the walk runs up(kt) immediately followed by
-/// down(kt) and the flank rows the down wedge consumes are the ones the two
-/// preceding up wedges just wrote — reuse distance of one LLC-sized tile
-/// instead of the worker's whole shard (the flat walk sweeps all ups, then
-/// re-reads everything for the downs). Only the boundary wedge at t0 reads
-/// another worker's rows; it stays behind the same neighbor wait as the
-/// flat walk. The wedge set and every wedge's inputs are identical — each
-/// (row, parity) value is written exactly once per block by the same adv
-/// call — so results are bitwise equal across tree depths and the
-/// NeighborSync protocol stays per *worker*, i.e. at the top level only.
+/// Two schedules execute that walk (bitwise-identical results; only the
+/// waiting differs):
 ///
-/// Two schedules execute that identical wedge set (bitwise-identical
-/// results; only the waiting differs):
-///
-///  * Barrier (w.pipeline false, or serial, or nested-on-pool): stages run
-///    as pool tasks; the barrier between the up (triangles) and down
-///    (inverted triangles) stages is the pool task boundary.
+///  * Barrier (TilePlan::barrier, or serial, or nested-on-pool): stages
+///    run as pool tasks; the barrier before each boundary wedge is the pool
+///    task boundary.
 ///
 ///  * Pipelined (pipelined_schedule()): one long-lived task per worker with
 ///    point-to-point NeighborSync counters. Worker w publishes seq = 2b+1
@@ -164,16 +156,9 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
     telemetry::Counter barrier_runs =
         telemetry::counter("tiling.wedge.barrier_runs");
     telemetry::Counter blocks = telemetry::counter("tiling.wedge.blocks");
-    telemetry::Counter tree_runs =
-        telemetry::counter("tiling.wedge.tree_runs");
   };
   static const WedgeTelemetry wt;
   const long nblocks = w.H > 0 ? (super_steps + w.H - 1) / w.H : 0;
-  // A schedule counts as a tree run when its geometry was negotiated at
-  // depth >= 2: LLC-capped tiles per worker, walked with the fused
-  // up/down traversal (see above).
-  const bool fused = w.levels >= 2;
-  if (fused) wt.tree_runs.add(1);
   auto up_tile = [&](int kt, int hb, int cur, int wk) {
     const int x0 = kt * w.tile;
     const int x1 = std::min(w.n, x0 + w.tile);
@@ -192,6 +177,18 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
       adv(*bufs[(cur + sg - 1) & 1], *bufs[(cur + sg) & 1], lo, hi, wk);
     }
   };
+  // The fused walk of tiles [t0, t1): every up wedge, each interior
+  // inverted wedge right after the second up wedge it reads.
+  auto up_stage = [&](int t0, int t1, int hb, int cur, int wk) {
+    for (int kt = t0; kt < t1; ++kt) {
+      up_tile(kt, hb, cur, wk);
+      if (kt > t0) down_tile(kt, hb, cur, wk);
+    }
+  };
+  // What is left after every up stage: the boundary wedge at t0.
+  auto down_stage = [&](int t0, int t1, int hb, int cur, int wk) {
+    if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cur, wk);
+  };
   if (pipelined_schedule(w, pool)) {
     wt.pipelined_runs.add(1);
     wt.blocks.add(nblocks);
@@ -205,22 +202,11 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
         const int hb = std::min(w.H, super_steps - s0);
         if (b > 0 && wk + 1 < nworkers) sync.wait_for(wk + 1, 2 * b);
         test_jitter_stall(wk);
-        for (int kt = t0; kt < t1; ++kt) {
-          up_tile(kt, hb, cur, wk);
-          // Tree walk: the interior inverted wedge at kt needs only the up
-          // wedges at kt-1 and kt — consume their flanks while resident.
-          if (fused && kt > t0) down_tile(kt, hb, cur, wk);
-        }
+        up_stage(t0, t1, hb, cur, wk);
         sync.publish(wk, 2 * b + 1);
         if (wk > 0) sync.wait_for(wk - 1, 2 * b + 1);
         test_jitter_stall(wk);
-        if (fused) {
-          // Only the boundary wedge at t0 (reads w-1's up flank) is left.
-          if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cur, wk);
-        } else {
-          for (int kt = std::max(1, t0); kt < t1; ++kt)
-            down_tile(kt, hb, cur, wk);
-        }
+        down_stage(t0, t1, hb, cur, wk);
         sync.publish(wk, 2 * b + 2);
         cur = (cur + hb) & 1;
       }
@@ -240,30 +226,14 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
     if (pool != nullptr) {
       pool->run([&](int wk) {
         const auto [t0, t1] = place.tiles_of(wk);
-        for (int kt = t0; kt < t1; ++kt) {
-          up_tile(kt, hb, cursor, wk);
-          // Tree walk (see the pipelined path): interior inverted wedges
-          // fuse into the up task; only down(t0) needs the stage barrier.
-          if (fused && kt > t0) down_tile(kt, hb, cursor, wk);
-        }
+        up_stage(t0, t1, hb, cursor, wk);
       });
       pool->run([&](int wk) {
         const auto [t0, t1] = place.tiles_of(wk);
-        if (fused) {
-          if (t0 >= 1 && t0 < t1) down_tile(t0, hb, cursor, wk);
-        } else {
-          for (int kt = std::max(1, t0); kt < t1; ++kt)
-            down_tile(kt, hb, cursor, wk);
-        }
+        down_stage(t0, t1, hb, cursor, wk);
       });
-    } else if (fused) {
-      for (int kt = 0; kt < ntiles; ++kt) {
-        up_tile(kt, hb, cursor, -1);
-        if (kt >= 1) down_tile(kt, hb, cursor, -1);
-      }
     } else {
-      for (int kt = 0; kt < ntiles; ++kt) up_tile(kt, hb, cursor, -1);
-      for (int kt = 1; kt < ntiles; ++kt) down_tile(kt, hb, cursor, -1);
+      up_stage(0, ntiles, hb, cursor, -1);
     }
     cursor = (cursor + hb) & 1;
   }
@@ -473,8 +443,8 @@ struct Stage<W, 3> {
       case Method::Ours2: {
         // The sliding plane window lives in the owning worker's pool arena
         // (allocated there, so its pages sit on the worker's NUMA node;
-        // Engine::prepare pre-sizes it). Off-pool callers fall back to a
-        // calling-thread-local window.
+        // the pipelined schedule's prologue sizes it). Off-pool callers fall
+        // back to a calling-thread-local window.
         thread_local std::vector<AlignedBuffer> tls_window;
         std::vector<AlignedBuffer>& window =
             pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
@@ -552,8 +522,8 @@ void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
     // Pipelined 3-D folded runs first-touch the per-worker plane window in
     // the prologue slot that already overlaps the first super-step — the
     // same down(0) transitive wait orders it, so no extra sync edge and no
-    // separate pool dispatch ahead of the run (Engine::prepare only
-    // pre-sizes arenas for barrier-mode plans).
+    // separate pool dispatch ahead of the run. Barrier-schedule runs grow
+    // the window inside their first stage.
     bool overlap_arena = false;
     detail::Folded3DWindowShape window_shape;
     if constexpr (D == 3) {

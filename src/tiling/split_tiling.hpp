@@ -37,20 +37,6 @@
 
 namespace sf {
 
-/// How the parallel wedge stages synchronize across the time blocks of one
-/// run. Results are bitwise identical either way — the schedules execute
-/// the same wedges with the same operand levels; only the waiting changes.
-enum class Pipeline {
-  Auto,  ///< Resolve from the process-wide `SF_PIPELINE` default (on unless
-         ///< the variable is set to exactly "0").
-  On,    ///< Point-to-point neighbor sync (NeighborSync): worker w waits
-         ///< only until w-1/w+1 published the boundary wedges it reads, so
-         ///< fast workers pipeline into the next super-step while slow ones
-         ///< finish.
-  Off,   ///< The historical schedule: a global pool barrier after each up
-         ///< and each down stage (two per time block).
-};
-
 /// One split-tiling execution request. Zero-valued geometry fields mean
 /// "negotiate": the engine fills them via negotiate_wedge(); the
 /// ExecutionPlan layer fills them from its cost model or the tuner cache
@@ -70,19 +56,12 @@ struct TilePlan {
   ///< (threads, affinity), so a prepared Engine run and a direct
   ///< run_tile_plan() call land on the same pinned workers. Results are
   ///< bitwise identical across policies; only locality changes.
-  Pipeline pipeline = Pipeline::Auto;
-  ///< Cross-block stage synchronization (see Pipeline). Auto defers to the
-  ///< `SF_PIPELINE` environment default at run time; the Engine resolves it
-  ///< at prepare time instead so prepared handles are env-immune and
-  ///< plan-cache keyed on the effective value.
-  int levels = 1;
-  ///< Engaged tile-tree depth this plan's geometry was negotiated at
-  ///< (core/execution_plan.hpp TileTree): 1 = flat, >= 2 = `tile` is the
-  ///< LLC-capped mid-level extent and each worker walks several tiles per
-  ///< stage instead of one. Purely descriptive for the scheduler — the
-  ///< wedge set executed is fully determined by tile/time_block/threads,
-  ///< so results are bitwise identical across depths — but the schedule
-  ///< telemetry reports tree runs separately.
+  bool barrier = false;
+  ///< Test/bench hook: run the parallel wedge stages on the barrier
+  ///< schedule (a global pool barrier after each up and each down stage)
+  ///< instead of the default point-to-point neighbor pipeline. Results are
+  ///< bitwise identical either way; only the waiting changes. Nested and
+  ///< serial runs always take the barrier schedule.
 };
 
 /// The concrete wedge geometry negotiate_wedge() settles on for one run.

@@ -282,6 +282,31 @@ TEST(Engine, PrepareRejectsExtentsNoViewCanHave) {
                                Extents{std::numeric_limits<int>::max()}));
 }
 
+TEST(Engine, PrepareRejectsOptionsOutOfRange) {
+  // Options no request can mean throw instead of being remapped onto a
+  // valid one: a levels value outside [-1, 3] and a negative thread count,
+  // tile or time block.
+  Engine& eng = Engine::instance();
+  std::vector<ExecOptions> bad(5);
+  bad[0].levels = -7;
+  bad[1].levels = 42;
+  bad[2].threads = -1;
+  bad[3].tile = -8;
+  bad[4].time_block = -2;
+  for (const ExecOptions& o : bad) {
+    EXPECT_THROW(eng.prepare(Preset::Heat2D, Extents{64, 64}, o),
+                 std::invalid_argument);
+    EXPECT_THROW(eng.plan_key(preset(Preset::Heat2D), Extents{64, 64}, o),
+                 std::invalid_argument);
+  }
+  ExecOptions edge;
+  for (int levels : {-1, 3}) {
+    edge.levels = levels;
+    EXPECT_NO_THROW(eng.plan_key(preset(Preset::Heat2D), Extents{64, 64},
+                                 edge));
+  }
+}
+
 TEST(Engine, RejectsPartiallyOverlappingViews) {
   PreparedStencil ps =
       Engine::instance().prepare(Preset::Heat2D, Extents{64, 48}, {});

@@ -2,8 +2,8 @@
 // once over the dimensionality D: for every preset under a seeded draw of
 // extents (odd and prime sizes among them), methods, tilings, tiles wider
 // than the domain and more workers than tiles, PreparedStencil::run(), a
-// stream of advance() calls, advance_batch() and the Server must leave
-// bitwise-identical results.
+// stream of advance() calls, advance_batch(), the Server and Solver::run()
+// must leave bitwise-identical results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/solver.hpp"
 #include "grid/grid_utils.hpp"
 #include "serving/server.hpp"
 
@@ -104,6 +105,17 @@ std::future<ServeResult> submit(Server& server, const PreparedStencil& ps,
   return server.submit("eq", ps, a, b, steps);
 }
 
+// The result grid of a Solver run.
+template <int D>
+FieldView<D> solver_result(const Workspace& ws) {
+  if constexpr (D == 1)
+    return ws.a1->view();
+  else if constexpr (D == 2)
+    return ws.a2->view();
+  else
+    return ws.a3->view();
+}
+
 // Which corners of the tiling space a draw reached.
 struct Coverage {
   int blocked = 0;       // wedge-scheduled plans
@@ -167,6 +179,24 @@ void check_entry_points(const StencilSpec& spec, const Draw& d,
                                        "batch", "serve",  "serve"};
   for (int i = 1; i < kPairs; ++i)
     EXPECT_EQ(max_abs_diff(a[i], a[0]), 0.0) << kEntry[i];
+
+  // Solver::run() plans and runs the drawn horizon on its own workspace
+  // (seeded like the pairs above), so it must match run() at that horizon.
+  Solver solver = Solver::make(spec)
+                      .size(d.ext.nx, d.ext.ny, d.ext.nz)
+                      .steps(d.steps)
+                      .method(d.opts.method)
+                      .tiling(d.opts.tiling)
+                      .threads(d.opts.threads)
+                      .tile(d.opts.tile)
+                      .seed(d.seed);
+  solver.run();
+  EXPECT_EQ(solver.prepared().plan_key(), ps.plan_key());
+  fill_random(a[0], d.seed);
+  copy(a[0], b[0]);
+  execute(ps, a[0], b[0], k, d.steps, /*stream=*/false);
+  EXPECT_EQ(max_abs_diff(solver_result<D>(solver.workspace()), a[0]), 0.0)
+      << "solver";
 }
 
 TEST(EntryPoints, SeededDrawIsBitwiseIdenticalAcrossEntryPoints) {

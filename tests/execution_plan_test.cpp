@@ -175,62 +175,27 @@ TEST(ExecutionPlan, ExplicitGeometryOutranksNegotiation) {
   EXPECT_LE(r.max_error, 1e-10);
 }
 
-TEST(ExecutionPlan, PipelineAxisStampedAndPlanCacheKeyed) {
-  unsetenv("SF_PIPELINE");
-  Engine& eng = Engine::instance();
-  ExecOptions opts;
-  opts.tiling = Tiling::On;
-  opts.threads = 2;
-  opts.tsteps = 8;
-  // Auto resolves from the (unset) env default: pipelined on.
-  PreparedStencil auto_ps =
-      eng.prepare(Preset::Heat2D, Extents{96, 64}, opts);
-  ASSERT_TRUE(auto_ps.plan().tiled);
-  EXPECT_EQ(auto_ps.plan().tile.pipeline, Pipeline::On);
-  // Explicit On / Off are distinct preparations with distinct plan keys —
-  // the sync schedule changes run-time behavior, so they must never share
-  // a cache entry.
-  ExecOptions on = opts, off = opts;
-  on.pipeline = Pipeline::On;
-  off.pipeline = Pipeline::Off;
-  PreparedStencil ps_on = eng.prepare(Preset::Heat2D, Extents{96, 64}, on);
-  PreparedStencil ps_off = eng.prepare(Preset::Heat2D, Extents{96, 64}, off);
-  EXPECT_EQ(ps_on.plan().tile.pipeline, Pipeline::On);
-  EXPECT_EQ(ps_off.plan().tile.pipeline, Pipeline::Off);
-  EXPECT_NE(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, on),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, off));
-  // Auto == On while the env default is on (same effective request)...
-  EXPECT_EQ(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, opts),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, on));
-  // ...and flips to the barrier key when SF_PIPELINE=0.
-  ASSERT_EQ(setenv("SF_PIPELINE", "0", 1), 0);
-  EXPECT_EQ(eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, opts),
-            eng.plan_key(preset(Preset::Heat2D), Extents{96, 64}, off));
-  PreparedStencil env_off =
-      eng.prepare(Preset::Heat2D, Extents{96, 64}, opts);
-  EXPECT_EQ(env_off.plan().tile.pipeline, Pipeline::Off);
-  unsetenv("SF_PIPELINE");
+// The Solver's run (always the pipelined schedule) against its own
+// negotiated plan re-run on the barrier schedule through the
+// TilePlan::barrier hook, on the same seeded input.
+TEST(ExecutionPlan, PipelinedRunMatchesBarrierHookBitwise) {
+  Solver s = Solver::make(Preset::Heat3D)
+                 .size(36, 24, 20)
+                 .steps(8)
+                 .tiling(Tiling::On)
+                 .threads(4);
+  s.run();
+  ASSERT_TRUE(s.plan().tiled && s.plan().blocked);
+  TilePlan barrier = s.plan().tile;
+  barrier.barrier = true;
+  Grid3D a(20, 24, 36, s.halo()), b(20, 24, 36, s.halo());
+  fill_random(a, 42);  // the Solver's default seed
+  copy(a, b);
+  run_tile_plan(s.spec().p3, a, b, 8, barrier);
+  EXPECT_EQ(max_abs_diff(a, *s.workspace().a3), 0.0);
 }
 
-TEST(ExecutionPlan, PipelineOnOffRunBitwiseIdentical) {
-  Solver on = Solver::make(Preset::Heat3D)
-                  .size(36, 24, 20)
-                  .steps(8)
-                  .tiling(Tiling::On)
-                  .threads(4)
-                  .pipeline(Pipeline::On);
-  Solver off = Solver::make(Preset::Heat3D)
-                   .size(36, 24, 20)
-                   .steps(8)
-                   .tiling(Tiling::On)
-                   .threads(4)
-                   .pipeline(Pipeline::Off);
-  on.run();
-  off.run();
-  EXPECT_EQ(result_diff(on.workspace(), off.workspace()), 0.0);
-}
-
-TEST(TileTree, FlatPlansCarryDegenerateTree) {
+TEST(TileTree, FlatPlansEngageOnlyTheTileLevel) {
   unsetenv("SF_TILE_LEVELS");
   Solver s = Solver::make(Preset::Heat2D)
                  .size(96, 384)
@@ -240,16 +205,15 @@ TEST(TileTree, FlatPlansCarryDegenerateTree) {
                  .threads(4);
   const ExecutionPlan& plan = s.plan();
   ASSERT_TRUE(plan.tiled);
-  EXPECT_EQ(plan.tile.levels, 1);
-  EXPECT_TRUE(plan.tree.flat());
   EXPECT_EQ(plan.tree.depth(), 1);
-  EXPECT_EQ(plan.tree.extent, plan.tile.tile);
-  // Untiled plans leave the tree empty.
+  EXPECT_EQ(plan.tree.shard, 0);
+  EXPECT_EQ(plan.tree.tile, plan.tile.tile);
+  EXPECT_EQ(plan.tree.leaf, 0);
+  // Untiled plans engage no level.
   Solver off = Solver::make(Preset::Heat2D).size(96, 384).steps(16).tiling(
       Tiling::Off);
-  EXPECT_EQ(off.plan().tree.extent, 0);
+  EXPECT_EQ(off.plan().tree.depth(), 0);
 }
-
 // The multi-level negotiation: with a small LLC the mid level caps the
 // wedge tile under the flat heuristic, the stamped tree reports
 // shard/mid/leaf extents outermost-first, and tuned geometry stored at a
@@ -271,18 +235,16 @@ TEST(TileTree, NegotiationShapeAndPerLevelRedeploy) {
   Solver flat = solver_at(1);
   Solver tree = solver_at(3);
   ASSERT_TRUE(tree.plan().tiled);
-  EXPECT_EQ(flat.plan().tile.levels, 1);
-  EXPECT_EQ(tree.plan().tile.levels, 3);
+  EXPECT_EQ(flat.plan().tree.depth(), 1);
   EXPECT_LT(tree.plan().tile.tile, flat.plan().tile.tile);
   EXPECT_EQ(tree.plan().tile.tile, 24);
   const TileTree& tt = tree.plan().tree;
   EXPECT_EQ(tt.depth(), 3);
-  // Outermost = worker shard (>= mid), mid = capped wedge tile, leaf =
+  // Outermost = worker shard (>= tile), tile = capped wedge tile, leaf =
   // the kernel's register block, each level nesting the next.
-  EXPECT_GE(tt.extent, tt.children.front().extent);
-  EXPECT_EQ(tt.children.front().extent, 24);
-  EXPECT_EQ(tt.children.front().children.front().extent,
-            tree.kernel().reg_block());
+  EXPECT_GE(tt.shard, tt.tile);
+  EXPECT_EQ(tt.tile, 24);
+  EXPECT_EQ(tt.leaf, tree.kernel().reg_block());
   // The capped tile is a *different* wedge geometry than the flat 96, so
   // flank corrections may round differently — agreement is to verification
   // tolerance here. (Bitwise identity across depths holds at fixed
@@ -475,19 +437,16 @@ TEST(Tuner, RecalledThreadCountNeverExceedsTheRequest) {
   TuneCache& cache = TuneCache::instance();
   cache.clear();
   const StencilSpec& spec = preset(Preset::Heat3D);
-  PlanRequest req;
-  req.spec = &spec;
-  req.kernel = &require_kernel(Method::Ours2, 3);
-  req.nx = 64;
-  req.ny = 64;
-  req.nz = 512;
-  req.tsteps = 16;
-  req.tiling = Tiling::On;
-  req.threads = 2;
+  ExecOptions opts;
+  opts.tsteps = 16;
+  opts.tiling = Tiling::On;
+  opts.threads = 2;
+  const PlanRequest req{spec, require_kernel(Method::Ours2, 3),
+                        Extents{64, 64, 512}, opts};
   const ExecutionPlan heuristic = plan_execution(req);
   ASSERT_TRUE(heuristic.blocked);
-  cache.store(make_tune_key(*req.kernel, effective_radius(spec), 64, 64, 512,
-                            16, 2, heuristic.tile.levels),
+  cache.store(make_tune_key(req.kernel, effective_radius(spec), 64, 64, 512,
+                            16, 2, heuristic.tree.depth()),
               TunedGeometry{heuristic.tile.tile, heuristic.tile.time_block,
                             100000});
   const ExecutionPlan plan = plan_execution(req);

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "core/solver.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/registry.hpp"
@@ -213,7 +214,10 @@ TEST(WorkerPool, OversubscriptionCompletes) {
 
 TEST(WorkerPool, ArenaAllocatedPerWorker) {
   WorkerPool pool(2, Affinity::None);
-  pool.ensure_arena(3, 256);
+  const auto ensure = [&] {
+    pool.run([&](int w) { pool.ensure_arena_local(w, 3, 256); });
+  };
+  ensure();
   for (int w = 0; w < 2; ++w) {
     ASSERT_EQ(pool.arena(w).size(), 3u);
     EXPECT_GE(pool.arena(w)[0].size(), 256u);
@@ -222,7 +226,7 @@ TEST(WorkerPool, ArenaAllocatedPerWorker) {
   EXPECT_NE(pool.arena(0)[0].data(), pool.arena(1)[0].data());
   // Re-ensuring with satisfied sizes keeps the buffers (pointer-stable).
   const double* p0 = pool.arena(0)[0].data();
-  pool.ensure_arena(3, 256);
+  ensure();
   EXPECT_EQ(pool.arena(0)[0].data(), p0);
 }
 
@@ -634,11 +638,11 @@ TEST(WorkerPoolStress, JitterAdversarialSkewBitwise) {
   barrier.method = Method::Ours2;
   barrier.tile = 16;
   barrier.threads = 6;
-  barrier.pipeline = Pipeline::Off;
+  barrier.barrier = true;
   for (Affinity aff : {Affinity::None, Affinity::Compact, Affinity::Scatter}) {
     barrier.affinity = aff;
     TilePlan piped = barrier;
-    piped.pipeline = Pipeline::On;
+    piped.barrier = false;
     for (int rep = 0; rep < 6; ++rep) {
       Grid2D ba(ny, nx, halo), bb(ny, nx, halo), pa(ny, nx, halo),
           pb(ny, nx, halo);
@@ -672,6 +676,30 @@ TEST(RuntimeEngine, EnvAffinityAppliesWhenUnset) {
   PreparedStencil again =
       Engine::instance().prepare(Preset::Heat2D, Extents{72, 64}, opts);
   EXPECT_EQ(again.affinity(), Affinity::None);
+}
+
+// warm_pool() resolves threads and affinity exactly as prepare() does, so
+// the pool it builds is the one a tiled preparation then acquires instead
+// of building a second one.
+TEST(RuntimeEngine, PrepareReusesTheWarmedPool) {
+  const std::string saved_threads = env_str("SF_THREADS");
+  ASSERT_EQ(setenv("SF_THREADS", "3", 1), 0);
+  ASSERT_EQ(setenv("SF_POOL_CACHE", "64", 1), 0);  // no eviction mid-test
+  Engine& eng = Engine::instance();
+  eng.warm_pool();
+  const std::size_t warmed = pool_cache_size();
+  ExecOptions opts;
+  opts.tiling = Tiling::On;
+  opts.tsteps = 8;
+  PreparedStencil ps = eng.prepare(Preset::Heat2D, Extents{72, 96}, opts);
+  EXPECT_EQ(pool_cache_size(), warmed);
+  ASSERT_NE(ps.pool(), nullptr);
+  EXPECT_EQ(ps.pool()->threads(), 3);
+  unsetenv("SF_POOL_CACHE");
+  if (saved_threads.empty())
+    unsetenv("SF_THREADS");
+  else
+    setenv("SF_THREADS", saved_threads.c_str(), 1);
 }
 
 TEST(RuntimeEngine, EnvThreadsAppliesWhenUnset) {

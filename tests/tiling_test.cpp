@@ -246,9 +246,9 @@ PlanTriple plan_triple(const TilePlan& base, int threads, Affinity aff) {
   t.barrier = base;
   t.barrier.threads = threads;
   t.barrier.affinity = aff;
-  t.barrier.pipeline = Pipeline::Off;
+  t.barrier.barrier = true;
   t.piped = t.barrier;
-  t.piped.pipeline = Pipeline::On;
+  t.piped.barrier = false;
   return t;
 }
 
@@ -329,9 +329,6 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
   const int tsteps = fz_in(s, 1, 18);
   const int time_block = fz_in(s, 0, 3) == 0 ? fz_in(s, 1, 10) : 0;
   const int threads = fz_in(s, 2, 8);
-  // Tile-tree depth: >= 2 engages the fused up/down tree walk in every
-  // schedule (serial, barrier, pipelined) — bitwise-invisible by design.
-  const int levels = fz_in(s, 1, 3);
   static const Affinity affs[] = {Affinity::None, Affinity::None,
                                   Affinity::Compact, Affinity::Scatter};
   const Affinity aff = affs[fz_in(s, 0, 3)];
@@ -340,11 +337,10 @@ void fuzz_iteration(std::uint64_t& s, int iter) {
                std::to_string(dims) + " method=" + method_name(m) +
                " tsteps=" + std::to_string(tsteps) + " tb=" +
                std::to_string(time_block) + " threads=" +
-               std::to_string(threads) + " levels=" + std::to_string(levels));
+               std::to_string(threads));
   TilePlan base;
   base.method = m;
   base.time_block = time_block;
-  base.levels = levels;
   if (dims == 1) {
     static const Preset presets[] = {Preset::Heat1D, Preset::P1D5,
                                      Preset::Apop};
@@ -384,11 +380,12 @@ TEST(TiledPipeline, FuzzQuick) {
   for (int iter = 0; iter < 36; ++iter) fuzz_iteration(s, iter);
 }
 
-// Tree depth must be execution-invisible: levels 2 and 3 walk the identical
-// wedge set with the fused up/down traversal, so every (depth, schedule,
-// thread-count) combination is bitwise equal to the flat serial run — for
-// regular geometries, degenerate ones (tile > n: a single tile, i.e. a
-// one-child level at every depth), and H = 1 time blocks.
+// The fused up/down walk interleaves differently per worker count: one
+// worker walks every tile, N workers walk their shards concurrently with
+// the boundary wedges behind the stage sync. Every (schedule, thread-count)
+// combination must be bitwise equal to the serial run — for regular
+// geometries, degenerate ones (tile > n: a single tile), and H = 1 time
+// blocks.
 TEST(TiledTree, DepthsBitwiseIdentical1D) {
   const auto& spec = preset(Preset::Heat1D);
   const int halo = require_kernel(Method::Ours2, 1).required_halo(1);
@@ -407,22 +404,19 @@ TEST(TiledTree, DepthsBitwiseIdentical1D) {
     fill_random(ra, 77);
     copy(ra, rb);
     run_tile_plan(spec.p1, ra, rb, nullptr, nullptr, c.tsteps, flat);
-    for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On})
-        for (int threads : {1, c.threads}) {
-          SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                       std::to_string(pipe == Pipeline::On) + " threads=" +
-                       std::to_string(threads));
-          TilePlan tree = flat;
-          tree.levels = levels;
-          tree.threads = threads;
-          tree.pipeline = pipe;
-          Grid1D ta(c.n, halo), tb(c.n, halo);
-          fill_random(ta, 77);
-          copy(ta, tb);
-          run_tile_plan(spec.p1, ta, tb, nullptr, nullptr, c.tsteps, tree);
-          EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
-        }
+    for (bool barrier : {true, false})
+      for (int threads : {1, c.threads}) {
+        SCOPED_TRACE("barrier=" + std::to_string(barrier) + " threads=" +
+                     std::to_string(threads));
+        TilePlan walk = flat;
+        walk.threads = threads;
+        walk.barrier = barrier;
+        Grid1D ta(c.n, halo), tb(c.n, halo);
+        fill_random(ta, 77);
+        copy(ta, tb);
+        run_tile_plan(spec.p1, ta, tb, nullptr, nullptr, c.tsteps, walk);
+        EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
+      }
   }
 }
 
@@ -443,20 +437,17 @@ TEST(TiledTree, DepthsBitwiseIdentical3D) {
     fill_random(ra, 99);
     copy(ra, rb);
     run_tile_plan(spec.p3, ra, rb, c.tsteps, flat);
-    for (int levels : {2, 3})
-      for (Pipeline pipe : {Pipeline::Off, Pipeline::On}) {
-        SCOPED_TRACE("levels=" + std::to_string(levels) + " piped=" +
-                     std::to_string(pipe == Pipeline::On));
-        TilePlan tree = flat;
-        tree.levels = levels;
-        tree.threads = c.threads;
-        tree.pipeline = pipe;
-        Grid3D ta(c.nz, 20, 16, halo), tb(c.nz, 20, 16, halo);
-        fill_random(ta, 99);
-        copy(ta, tb);
-        run_tile_plan(spec.p3, ta, tb, c.tsteps, tree);
-        EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
-      }
+    for (bool barrier : {true, false}) {
+      SCOPED_TRACE("barrier=" + std::to_string(barrier));
+      TilePlan walk = flat;
+      walk.threads = c.threads;
+      walk.barrier = barrier;
+      Grid3D ta(c.nz, 20, 16, halo), tb(c.nz, 20, 16, halo);
+      fill_random(ta, 99);
+      copy(ta, tb);
+      run_tile_plan(spec.p3, ta, tb, c.tsteps, walk);
+      EXPECT_EQ(max_abs_diff(ta, ra), 0.0);
+    }
   }
 }
 

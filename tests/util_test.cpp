@@ -2,8 +2,13 @@
 // and the dense linear algebra under the regression planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <random>
+#include <stdexcept>
+#include <string>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cpu.hpp"
@@ -91,6 +96,105 @@ TEST(Env, FlagAndLong) {
   EXPECT_EQ(env_long("SF_TEST_NUM", 7), 42);
   unsetenv("SF_TEST_NUM");
   EXPECT_EQ(env_long("SF_TEST_NUM", 7), 7);
+}
+
+// The strict integer grammar env_long() implements, written independently:
+// an optional sign, decimal digits only, the value inside [lo, hi].
+bool strict_parse(const std::string& v, long lo, long hi, long* out) {
+  const std::size_t first = !v.empty() && (v[0] == '+' || v[0] == '-');
+  if (first == v.size()) return false;
+  for (std::size_t i = first; i < v.size(); ++i)
+    if (v[i] < '0' || v[i] > '9') return false;
+  try {
+    const long long n = std::stoll(v);
+    if (n < lo || n > hi) return false;
+    *out = static_cast<long>(n);
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+}
+
+// One to three seeded edits of a valid value: insert, delete or replace a
+// character (digits, signs, spaces, letters, a dot), append digits until
+// the value overflows, or prefix a minus sign.
+std::string mutate(std::string v, std::mt19937_64& rng) {
+  static const std::string kAlphabet = "0123456789+- \txak.";
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = v.empty() ? 0 : rng() % (v.size() + 1);
+    const char c = kAlphabet[rng() % kAlphabet.size()];
+    switch (rng() % 5) {
+      case 0: v.insert(at, 1, c); break;
+      case 1: if (at < v.size()) v.erase(at, 1); break;
+      case 2: if (at < v.size()) v[at] = c; break;
+      case 3: v += std::string(1 + rng() % 20, '9'); break;
+      default: v.insert(0, 1, '-'); break;
+    }
+  }
+  return v;
+}
+
+// Every SF_* integer knob parses through env_long(): a seeded mutation of a
+// valid value is either the exact integer the strict grammar accepts or the
+// knob's default — never a wrapped, truncated or partially parsed number.
+TEST(Env, SeededMutationsParseStrictlyOrFallBack) {
+  unsetenv("SF_LLC_BYTES");
+  const long detected_llc = llc_bytes();
+  std::mt19937_64 rng(0x5eed2021);
+  const char* const seeds[] = {"0", "1", "2", "3", "4", "16", "8192",
+                               "2097152", "auto"};
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::string v = mutate(seeds[rng() % 9], rng);
+    SCOPED_TRACE("value \"" + v + "\"");
+    long n = 0;
+    ASSERT_EQ(setenv("SF_THREADS", v.c_str(), 1), 0);
+    EXPECT_EQ(env_threads(),
+              strict_parse(v, 0, kMaxEnvThreads, &n) ? n : 0);
+    ASSERT_EQ(setenv("SF_TILE_MIN_BYTES", v.c_str(), 1), 0);
+    EXPECT_EQ(tile_min_bytes(),
+              strict_parse(v, 0, LONG_MAX, &n) ? n : 2L << 20);
+    ASSERT_EQ(setenv("SF_LLC_BYTES", v.c_str(), 1), 0);
+    EXPECT_EQ(llc_bytes(),
+              strict_parse(v, 0, LONG_MAX, &n) && n > 0 ? n : detected_llc);
+    ASSERT_EQ(setenv("SF_POOL_CACHE", v.c_str(), 1), 0);
+    EXPECT_EQ(pool_cache_cap(),
+              strict_parse(v, 0, INT_MAX, &n) ? std::max(1L, n) : 8);
+    ASSERT_EQ(setenv("SF_TEST_JITTER", v.c_str(), 1), 0);
+    EXPECT_EQ(test_jitter_us(), strict_parse(v, 0, INT_MAX, &n) ? n : 0);
+    ASSERT_EQ(setenv("SF_TILE_LEVELS", v.c_str(), 1), 0);
+    EXPECT_EQ(env_tile_levels(),
+              v == "auto" ? -1 : strict_parse(v, 1, 3, &n) ? n : 1);
+    // The bench and trace knobs: their call sites' bounds.
+    ASSERT_EQ(setenv("SF_BENCH_REPS", v.c_str(), 1), 0);
+    EXPECT_EQ(env_long("SF_BENCH_REPS", 5, 0, INT_MAX),
+              strict_parse(v, 0, INT_MAX, &n) ? n : 5);
+    ASSERT_EQ(setenv("SF_TRACE_BUF", v.c_str(), 1), 0);
+    EXPECT_EQ(env_long("SF_TRACE_BUF", 8192, 0, INT_MAX),
+              strict_parse(v, 0, INT_MAX, &n) ? n : 8192);
+  }
+  for (const char* name :
+       {"SF_THREADS", "SF_TILE_MIN_BYTES", "SF_LLC_BYTES", "SF_POOL_CACHE",
+        "SF_TEST_JITTER", "SF_TILE_LEVELS", "SF_BENCH_REPS", "SF_TRACE_BUF"})
+    unsetenv(name);
+}
+
+TEST(Env, RejectedValueWarnsOncePerVariable) {
+  // A value that would wrap an int, junk, and a trailing suffix all keep
+  // the default.
+  for (const char* junk : {"5000000000", "abc", "4x"}) {
+    ASSERT_EQ(setenv("SF_THREADS", junk, 1), 0);
+    EXPECT_EQ(env_threads(), 0) << junk;
+  }
+  unsetenv("SF_THREADS");
+  ASSERT_EQ(setenv("SF_TEST_WARN", "12 monkeys", 1), 0);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(env_long("SF_TEST_WARN", 7), 7);
+  EXPECT_EQ(env_long("SF_TEST_WARN", 7), 7);
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("SF_TEST_WARN");
+  EXPECT_NE(err.find("SF_TEST_WARN"), std::string::npos);
+  EXPECT_EQ(err.find('\n'), err.size() - 1) << err;  // exactly one line
 }
 
 TEST(Dense, GaussSolve) {
