@@ -12,8 +12,8 @@
 ///    into (created if missing; default: the working directory). Files are
 ///    suffixed with a per-run timestamp so repeated sweeps never overwrite
 ///    each other.
-///  * `SF_TUNE=1`         — force the Solver's measure-once auto-tuner on
-///    for every tiled run (equivalent to calling `Solver::tune(true)`).
+///  * `SF_TUNE=1`         — run the measure-once auto-tuner (Engine::tune)
+///    on every tiled Solver run (equivalent to `Solver::tune(true)`).
 ///  * `SF_TUNE_CACHE=path` — persist tuned tile geometries to `path` and
 ///    reload them at startup, so production runs skip re-measurement across
 ///    processes (see core/tuner.hpp).
@@ -88,20 +88,29 @@ inline bool env_flag(const char* name) {
 void env_warn_once(const char* name, const char* value,
                    const char* expected);
 
+/// True (storing the value in `*out`) when the whole of `s` is a base-10
+/// integer in [lo, hi]: the strict grammar of knobs and tune-cache lines.
+inline bool parse_long(const char* s, long lo, long hi, long* out) {
+  const char* digits = *s == '+' || *s == '-' ? s + 1 : s;
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(s, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*digits)) || *end != '\0' ||
+      errno == ERANGE || n < lo || n > hi)
+    return false;
+  *out = n;
+  return true;
+}
+
 /// Integer value of `name`: `fallback` when unset or empty, the value when
-/// the whole string is a base-10 integer in [lo, hi], and otherwise
-/// `fallback` after one stderr warning for the variable.
+/// the whole string is a base-10 integer in [lo, hi] (parse_long), and
+/// otherwise `fallback` after one stderr warning for the variable.
 inline long env_long(const char* name, long fallback, long lo = LONG_MIN,
                      long hi = LONG_MAX) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const char* digits = *v == '+' || *v == '-' ? v + 1 : v;
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(v, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(*digits)) && *end == '\0' &&
-      errno != ERANGE && n >= lo && n <= hi)
-    return n;
+  long n = 0;
+  if (parse_long(v, lo, hi, &n)) return n;
   const std::string range =
       "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
   env_warn_once(name, v, range.c_str());

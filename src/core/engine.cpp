@@ -727,16 +727,13 @@ bool same_spec(const StencilSpec& a, const StencilSpec& b) {
 
 struct Engine::CacheEntry {
   std::uint64_t spec_hash = 0;
-  // Per-key tuner dependence: a plan that consulted the TuneCache records
-  // *which* key it asked about and what the lookup returned. The entry
-  // stays valid exactly while that lookup still returns the same answer —
-  // so tuning one configuration invalidates only the preparations that
-  // actually read its entry, not every cached plan (the old scheme keyed
-  // on the table-wide generation counter and evicted wholesale). Plans
-  // that never consulted the tuner (untiled, or explicit tile/time_block)
-  // are valid across any tuning activity.
-  bool tuner_dependent = false;
-  TuneKey tune_key;
+  // Per-key tuner dependence: a plan that consulted the TuneCache carries
+  // the key it asked about (ExecutionPlan::tune_key) and the entry records
+  // what the lookup returned. The entry stays valid exactly while that
+  // lookup still returns the same answer — so tuning one configuration
+  // invalidates only the preparations that actually read its entry, not
+  // every cached plan. Plans that never consulted the tuner (untiled, or
+  // explicit tile/time_block) are valid across any tuning activity.
   std::optional<TunedGeometry> tune_seen;
   std::shared_ptr<const PreparedStencil::State> state;  // holds the request
 };
@@ -774,8 +771,8 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
            st.ext.nz == ext.nz && st.opts == opts && same_spec(st.spec, spec);
   };
   auto tuner_fresh = [](const CacheEntry& e) {
-    return !e.tuner_dependent ||
-           TuneCache::instance().lookup_rounded(e.tune_key) == e.tune_seen;
+    const std::optional<TuneKey>& key = e.state->plan.tune_key;
+    return !key || TuneCache::instance().lookup_rounded(*key) == e.tune_seen;
   };
   {
     LockGuard lock(mu_);
@@ -819,8 +816,7 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
         st->kernel->name + "' keeps data in " + layout_name(st->preferred) +
         " layout at this radius");
 
-  const PlanRequest req{st->spec, *st->kernel, ext, st->opts};
-  st->plan = plan_execution(req);
+  st->plan = plan_execution({st->spec, *st->kernel, ext, st->opts});
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
   // per (threads, affinity), workers parked between tasks). The 3-D folded
@@ -832,25 +828,13 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
 
   CacheEntry entry;
   entry.spec_hash = sh;
-  // Snapshot the tuner lookup this plan depended on (plan_execution
-  // consults the cache only for tiled plans with auto geometry, keyed on
-  // the negotiated thread count). The snapshot is taken after planning, so
-  // a store racing in between leaves a snapshot one step ahead of the plan
-  // — harmless: the entry self-invalidates on the *next* change to that
+  // Snapshot the tuner lookup this plan depended on, under the key the
+  // planner recorded. The snapshot is taken after planning, so a store
+  // racing in between leaves a snapshot one step ahead of the plan —
+  // harmless: the entry self-invalidates on the *next* change to that
   // key, and tuned geometry is advisory, never a correctness input.
-  entry.tuner_dependent =
-      st->plan.tiled && opts.tile == 0 && opts.time_block == 0;
-  if (entry.tuner_dependent) {
-    // The lookup plan_execution performed is keyed on the thread count
-    // negotiated from the *request* (a cached entry may deploy a different
-    // winning count, so st->plan.tile.threads is not necessarily the
-    // lookup key) — re-derive it the same way.
-    entry.tune_key =
-        make_tune_key(*st->kernel, effective_radius(spec), ext.nx, ext.ny,
-                      ext.nz, opts.tsteps, plan_geometry(req).threads,
-                      st->plan.tree.depth());
-    entry.tune_seen = TuneCache::instance().lookup_rounded(entry.tune_key);
-  }
+  if (st->plan.tune_key)
+    entry.tune_seen = TuneCache::instance().lookup_rounded(*st->plan.tune_key);
   entry.state = st;
   {
     LockGuard lock(mu_);
@@ -909,6 +893,22 @@ PreparedStencil Engine::prepare_shared(const StencilSpec& spec, Extents ext,
     }
   } claim{this, key};
   return prepare(spec, ext, opts);
+}
+
+const ExecOptions& Engine::options_of(const PreparedStencil& ps) {
+  return ps.st_->opts;
+}
+
+PreparedStencil Engine::reprepare_tuned(const PreparedStencil& ps) {
+  // The resolved request re-resolves to itself, so this is ps's own cache
+  // slot; the tuner's store invalidated it, so it re-plans and recalls the
+  // stored geometry. The handed-out copy reports the provenance; the
+  // cached state keeps reporting Cached to later prepare() calls.
+  const PreparedStencil fresh =
+      prepare(ps.spec(), Extents{ps.nx(), ps.ny(), ps.nz()}, options_of(ps));
+  auto st = std::make_shared<PreparedStencil::State>(*fresh.st_);
+  st->plan.source = PlanSource::Tuned;
+  return PreparedStencil(st);
 }
 
 std::uint64_t Engine::plan_key(const StencilSpec& spec, Extents ext,

@@ -28,7 +28,7 @@
 /// corrupting memory.
 ///
 /// `sf::Solver` (core/solver.hpp) remains the convenience facade: it owns
-/// its grids and drives this layer underneath.
+/// its grids and drives this layer (Engine::tune included) underneath.
 #pragma once
 
 #include <cstdint>
@@ -103,11 +103,12 @@ class PreparedStencil {
   bool validates() const;
   /// Stable hash of the *effective* prepare request this handle was built
   /// from (stencil pattern + extents + horizon + every resolved ExecOptions
-  /// field). Two handles share a plan key exactly when Engine::prepare
-  /// would serve them from one cache entry — same kernel, geometry, pool
-  /// and validation behavior — so requests with equal keys are safely
-  /// batchable through advance_batch(). This is the key the serving
-  /// batcher (serving/server.hpp) groups submissions by.
+  /// field). Two handles share a plan key exactly when they were prepared
+  /// from the same effective request — same kernel, pool and validation
+  /// behavior. Tile geometry can still differ between such handles when a
+  /// TuneCache store (Engine::tune) landed between their preparations, so
+  /// batching goes by prepared state, not by this key; the serving front
+  /// end (serving/server.hpp) counts tenant plan budgets by it.
   std::uint64_t plan_key() const;
   /// The persistent worker pool the tiled stages execute on — shared per
   /// (threads, affinity) configuration and reused across prepare() calls —
@@ -212,9 +213,10 @@ class PreparedStencil {
 /// first-touch workspace initialization — and hands back an
 /// immutable PreparedStencil. Identical requests (same stencil, extents
 /// and options) return a shared cached preparation; a preparation whose
-/// plan consulted the tuner stays cached exactly while its *own* TuneCache
-/// lookup is unchanged (per-key invalidation — tuning one configuration
-/// never evicts unrelated prepared handles). Thread-safe.
+/// plan consulted the tuner (ExecutionPlan::tune_key) stays cached exactly
+/// while its *own* TuneCache lookup is unchanged (per-key invalidation —
+/// tuning one configuration never evicts unrelated prepared handles).
+/// Thread-safe.
 class Engine {
  public:
   /// The process-wide engine.
@@ -251,6 +253,17 @@ class Engine {
   std::uint64_t plan_key(const StencilSpec& spec, Extents ext = {},
                          const ExecOptions& opts = {}) const;
 
+  /// The measure-once auto-tuner. When `ps`'s plan is tiled, blocked,
+  /// keyed (ExecutionPlan::tune_key) and Heuristic, probes candidate
+  /// geometries on the views, stores the fastest under the plan's key and
+  /// returns `ps`'s own resolved request re-prepared, reporting
+  /// PlanSource::Tuned; any other handle comes back unchanged. The views
+  /// are validated as run() does (std::invalid_argument before any probe)
+  /// and then are scratch: pass finite data, re-seed afterwards.
+  template <int D>
+  PreparedStencil tune(const PreparedStencil& ps, FieldView<D> a,
+                       FieldView<D> b, const FieldView<D>* k = nullptr);
+
   /// Number of distinct preparations currently cached.
   std::size_t plan_cache_size() const;
   /// prepare() calls served from the cache over this engine's lifetime.
@@ -266,6 +279,11 @@ class Engine {
 
  private:
   Engine() = default;
+
+  // tune()'s access to `ps`'s resolved options, and `ps`'s request
+  // re-prepared and reported as PlanSource::Tuned (engine.cpp).
+  static const ExecOptions& options_of(const PreparedStencil& ps);
+  PreparedStencil reprepare_tuned(const PreparedStencil& ps);
 
   struct CacheEntry;
 

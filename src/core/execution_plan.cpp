@@ -59,10 +59,6 @@ WedgeGeometry negotiate(const PlanRequest& req, const ExecOptions& o) {
                          slice_bytes(req));
 }
 
-WedgeGeometry negotiate(const PlanRequest& req) {
-  return negotiate(req, req.opts);
-}
-
 }  // namespace
 
 const char* plan_source_name(PlanSource s) {
@@ -86,9 +82,8 @@ long working_set_bytes(long nx, long ny, long nz) {
 
 namespace {
 
-// The Tiling::Auto decision against an already-negotiated geometry (shared
-// by tiling_profitable and plan_execution so the geometry is computed
-// once and the two can never drift apart).
+// The Tiling::Auto decision against plan_execution's already-negotiated
+// geometry.
 bool profitable_at(const PlanRequest& req, const WedgeGeometry& g) {
   // A time block needs at least two super-steps to amortize its two stage
   // barriers; shorter horizons run untiled.
@@ -108,12 +103,9 @@ bool profitable_at(const PlanRequest& req, const WedgeGeometry& g) {
 
 }  // namespace
 
-bool tiling_profitable(const PlanRequest& req) {
-  if (!engages(req)) return false;
-  return profitable_at(req, negotiate(req));
+WedgeGeometry plan_geometry(const PlanRequest& req) {
+  return negotiate(req, req.opts);
 }
-
-WedgeGeometry plan_geometry(const PlanRequest& req) { return negotiate(req); }
 
 namespace {
 
@@ -186,7 +178,7 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   plan.kernel = &req.kernel;
   if (o.tiling == Tiling::Off || !engages(req)) return plan;
 
-  const WedgeGeometry g = negotiate(req);
+  const WedgeGeometry g = negotiate(req, o);
   if (o.tiling == Tiling::Auto && !profitable_at(req, g)) return plan;
   plan.tiled = true;
   plan.blocked = g.blocked;
@@ -213,10 +205,10 @@ ExecutionPlan plan_execution(const PlanRequest& req) {
   // above the negotiated count, so a larger recalled one (an edited or
   // foreign cache file) is ignored rather than deployed as a pool size.
   if (o.tile == 0 && o.time_block == 0) {
-    const TuneKey key =
+    plan.tune_key =
         make_tune_key(req.kernel, effective_radius(req.spec), req.ext.nx,
                       req.ext.ny, req.ext.nz, o.tsteps, g.threads, levels);
-    if (auto hit = TuneCache::instance().lookup_rounded(key)) {
+    if (auto hit = TuneCache::instance().lookup_rounded(*plan.tune_key)) {
       ExecOptions cached = o;
       cached.tile = hit->tile;
       cached.time_block = hit->time_block;

@@ -7,8 +7,8 @@
 /// the temporal split-tiling multicore path (paper §3.4, the Fig. 9
 /// configuration) runs, and with which
 /// concrete tile/time_block/threads geometry — negotiated from the wedge
-/// heuristics, recalled from the tuner cache, or (after a measuring run)
-/// tuned.
+/// heuristics, recalled from the tuner cache (under the key the plan
+/// records), or (after Engine::tune measured it) tuned.
 ///
 /// Deciding tiled-vs-untiled under Tiling::Auto is a cost model:
 ///  1. the selected kernel must declare an engaging tiled stage
@@ -24,8 +24,10 @@
 ///     is purely a cache-blocking play, paper Fig. 8).
 #pragma once
 
+#include <optional>
 #include <tuple>
 
+#include "core/tuner.hpp"
 #include "grid/field_view.hpp"
 #include "kernels/registry.hpp"
 #include "stencil/presets.hpp"
@@ -45,7 +47,8 @@ enum class PlanSource {
   Untiled,    ///< No tiling: geometry fields are meaningless.
   Heuristic,  ///< negotiate_wedge() defaults (or explicit user overrides).
   Cached,     ///< Recalled from the TuneCache (this process or SF_TUNE_CACHE).
-  Tuned,      ///< Measured by this Solver's auto-tuning run just now.
+  Tuned,      ///< Measured just now: the handle Engine::tune returns
+              ///< (later prepare() calls recall the geometry as Cached).
 };
 
 /// Display name of a PlanSource ("untiled", "heuristic", "cached", "tuned").
@@ -191,6 +194,10 @@ struct ExecutionPlan {
                   ///< engaged multi-level plans add the worker shard and
                   ///< register block; untiled plans leave it empty. Its
                   ///< depth() is the engaged depth the tuner keys on.
+  std::optional<TuneKey> tune_key;
+  ///< The TuneCache key plan_execution() looked the geometry up under, set
+  ///< exactly when it consulted the cache (tiled, auto tile/time_block).
+  ///< The plan cache re-checks it and Engine::tune stores under it.
 };
 
 /// The largest radius the selected kernel must read with: the stencil's own
@@ -201,24 +208,20 @@ int effective_radius(const StencilSpec& spec);
 /// excluded) — the working set the Tiling::Auto cost model reasons about.
 long working_set_bytes(long nx, long ny, long nz);
 
-/// The Tiling::Auto cost model in isolation: true when plan_execution()
-/// would tile this request had the policy been Auto. Exposed for tests and
-/// for harnesses that want to report the decision.
-bool tiling_profitable(const PlanRequest& req);
-
 /// The wedge geometry negotiate_wedge() settles on for this request
 /// (explicit tile/time_block/threads respected; slope, tiled extent and
 /// slice bytes derived from the spec exactly as plan_execution does).
-/// Exposed so the Solver's tuning pass measures candidates with the same
-/// geometry the planner would deploy — one derivation, no drift.
+/// Engine::tune derives every probe candidate through it, so what it
+/// measures is the geometry the planner would deploy — one derivation, no
+/// drift.
 WedgeGeometry plan_geometry(const PlanRequest& req);
 
 /// Builds the execution plan for one run. With Tiling::Off (or a kernel
 /// whose tiled stage cannot engage) the plan is untiled. Otherwise the
 /// geometry is resolved in priority order: explicit user tile/time_block,
 /// then a TuneCache hit, then the negotiate_wedge() heuristics. The
-/// measuring pass that *fills* the cache lives in Solver::run (it needs
-/// allocated grids); plan_execution only ever reads the cache.
+/// measuring pass that *fills* the cache is Engine::tune (it needs field
+/// views to probe on); plan_execution only ever reads the cache.
 ExecutionPlan plan_execution(const PlanRequest& req);
 
 }  // namespace sf

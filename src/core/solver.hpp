@@ -21,10 +21,12 @@
 /// vs. split-tiled execution with its concrete tile/time_block/threads
 /// geometry (core/execution_plan.hpp) — and run() executes the resulting
 /// PreparedStencil on the Solver-owned Workspace grids. With `tune(true)`
-/// (or `SF_TUNE=1`) the first run of a configuration measures a handful of
-/// candidate tile extents and caches the winner (core/tuner.hpp), so later
-/// runs — and later processes when `SF_TUNE_CACHE` is set — plan for free.
-/// Callers who own their buffers use Engine::prepare directly.
+/// (or `SF_TUNE=1`) run() hands the prepared handle and its workspace to
+/// Engine::tune, which measures a handful of candidate tile extents once
+/// and caches the winner (core/tuner.hpp), so later runs — and later
+/// processes when `SF_TUNE_CACHE` is set — plan for free. Beyond that the
+/// Solver is builder, workspace and verification; callers who own their
+/// buffers use Engine::prepare (and Engine::tune) directly.
 #pragma once
 
 #include <cstdint>
@@ -96,17 +98,12 @@ class Solver {
   /// workspace and allocates on its first run. The prepared handle is
   /// shared — preparations are immutable. This keeps builder chains
   /// assignable (`Solver s = Solver::make(p).method(...).steps(...);`).
-  Solver(const Solver& o)
-      : cfg_(o.cfg_), prepared_(o.prepared_), selected_(o.selected_),
-        halo_(o.halo_), plan_(o.plan_) {}
+  Solver(const Solver& o) : cfg_(o.cfg_), prepared_(o.prepared_) {}
   /// Specification-copying assignment; see the copy constructor.
   Solver& operator=(const Solver& o) {
     if (this != &o) {
       cfg_ = o.cfg_;
       prepared_ = o.prepared_;
-      selected_ = o.selected_;
-      halo_ = o.halo_;
-      plan_ = o.plan_;
       ws_ = Workspace{};
     }
     return *this;
@@ -151,8 +148,9 @@ class Solver {
   Solver& time_block(int steps);
   /// Enables the measure-once auto-tuner for this Solver's tiled runs
   /// (equivalent to SF_TUNE=1 process-wide). The first run of a
-  /// configuration measures candidate tile extents; the result is cached in
-  /// the process-wide TuneCache (and in SF_TUNE_CACHE when set).
+  /// configuration measures candidate tile extents through Engine::tune;
+  /// the result is cached in the process-wide TuneCache (and in
+  /// SF_TUNE_CACHE when set).
   Solver& tune(bool on = true);
   /// Opt-in resident-layout execution: when the selected kernel keeps data
   /// in a transformed layout (PreparedStencil::preferred_layout(), e.g.
@@ -181,15 +179,15 @@ class Solver {
   /// can run() on any conforming FieldViews.
   const PreparedStencil& prepared() { return resolve().prepared_; }
   /// The selected kernel's registry entry; resolves first.
-  const KernelInfo& kernel();
+  const KernelInfo& kernel() { return prepared().kernel(); }
   /// Negotiated workspace halo; resolves first.
-  int halo();
+  int halo() { return prepared().halo(); }
   /// How the next run() will execute: untiled or split-tiled, with the
   /// concrete tile/time_block/threads geometry and its provenance
   /// (heuristic, tuner-cached, or tuned). Resolves first. A tuning run
-  /// upgrades the stored plan, so calling this after run() reports the
-  /// geometry that actually executed.
-  const ExecutionPlan& plan() { return resolve().plan_; }
+  /// replaces the prepared handle with the tuned one, so calling this
+  /// after run() reports the geometry that actually executed.
+  const ExecutionPlan& plan() { return prepared().plan(); }
   /// Resolved x extent.
   long nx() { return resolve().cfg_.ext.nx; }
   /// Resolved y extent (1 below 2-D).
@@ -228,24 +226,9 @@ class Solver {
   /// Drops the prepared state after a builder change; returns *this.
   Solver& replan();
   RunResult run_impl(bool verify);
-  /// The measure-once auto-tuning pass: when enabled and the plan is a
-  /// blocked heuristic one, probes candidates on (a, b) along staged axes
-  /// in sequence — leaf (register-block) granules first for tree plans,
-  /// then tile extents (heuristic block height as the probe seed),
-  /// then (tile × time_block) pairs around the winner, then candidate
-  /// thread counts {resolved, resolved/2, cores-per-node} — records the
-  /// winner in the TuneCache, re-prepares through the Engine (which now
-  /// recalls the tuned geometry), upgrades plan_ to the winner
-  /// (source = Tuned), and restores `a`'s initial state. No-op otherwise.
-  template <int D, class P, class G>
-  void tune_pass(const P& p, G& a, G& b, const Pattern1D* src,
-                 const FieldView1D* kk);
 
   Config cfg_;
-  PreparedStencil prepared_;              // set by resolve()
-  const KernelInfo* selected_ = nullptr;  // mirrors prepared_ for accessors
-  int halo_ = 0;
-  ExecutionPlan plan_;  // prepared_'s plan, upgraded in place by tune_pass
+  PreparedStencil prepared_;  // set by resolve(); replaced by a tuned run
   Workspace ws_;
 };
 

@@ -4,12 +4,12 @@
 /// The split-tiling heuristics (tiling/split_tiling.hpp negotiate_wedge)
 /// give a good default tile geometry, but the best tile/time_block for a
 /// *specific* {kernel, shape, tsteps, threads} configuration depends on the
-/// machine. When tuning is enabled (`Solver::tune(true)` or `SF_TUNE=1`),
-/// the Solver measures a handful of candidate tile extents once, picks the
-/// fastest, and records it here keyed on the full configuration — so every
-/// later run of that configuration (in this process, or in any process when
-/// `SF_TUNE_CACHE=path` persists the table to disk) gets the tuned plan
-/// without re-measurement.
+/// machine. Engine::tune (core/engine.hpp, defined in tuner.cpp) measures
+/// a handful of candidate geometries once on the caller's views, picks the
+/// fastest, and records it here under the plan's ExecutionPlan::tune_key —
+/// so every later plan of that configuration (in this process, or in any
+/// process when `SF_TUNE_CACHE=path` persists the table to disk) recalls
+/// it without re-measurement.
 ///
 /// The cache is deliberately tiny machinery: a flat table with linear
 /// lookup (real workloads tune a few dozen configurations at most) behind a
@@ -132,7 +132,8 @@ class TuneCache {
   void clear();
 
   /// Merges entries from a cache file (later lines win). Returns the number
-  /// of lines successfully parsed; unparsable lines are skipped.
+  /// of lines parsed: exactly the version's columns, each a whole integer
+  /// in its field's range. Other lines are skipped, with one warning.
   std::size_t load_file(const std::string& path);
 
   /// Writes the whole table to `path` (one line per entry). Returns false
@@ -147,6 +148,8 @@ class TuneCache {
  private:
   std::optional<TunedGeometry> lookup_locked(const TuneKey& key) const
       SF_REQUIRES(mu_);
+  // Records `g` for `key`, replacing an existing entry in place.
+  void upsert_locked(TuneKey key, const TunedGeometry& g) SF_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::vector<std::pair<TuneKey, TunedGeometry>> entries_ SF_GUARDED_BY(mu_);

@@ -52,7 +52,6 @@ struct Request {
   int nsteps = 0;
   std::string tenant;
   std::uint64_t plan = 0;  // the handle's plan_key (tenant plan budget)
-  std::uint64_t key = 0;   // plan_key folded with nsteps (batch group key)
   Clock::time_point submitted;
   std::promise<ServeResult> promise;
 };
@@ -322,8 +321,8 @@ struct Server::Impl {
     delete req;
   }
 
-  /// Executes one same-(plan, nsteps) group through a single batched
-  /// dispatch and fulfills every member.
+  /// Executes one same-(prepared state, nsteps) group through a single
+  /// batched dispatch and fulfills every member.
   void run_group(std::vector<Request*>& group) {
     telemetry::Span span("serve.batch");
     t_batch_size.record(static_cast<std::int64_t>(group.size()));
@@ -331,9 +330,8 @@ struct Server::Impl {
     std::string error;
     try {
       Request& lead = *group[0];
-      // Group members share a plan key, so any member's handle describes
-      // the whole group's geometry, dimensionality and pool; execute
-      // through the leader's.
+      // Group members share one prepared state, so the leader's handle
+      // describes the whole group's geometry, dimensionality and pool.
       std::visit(
           [&](const auto& lead_item) {
             using Item = std::decay_t<decltype(lead_item)>;
@@ -378,8 +376,8 @@ struct Server::Impl {
 
   /// The dispatcher: drain up to the round's cap (max_batch, adaptively
   /// lowered from the observed queue depth unless disabled), group by
-  /// (plan key, nsteps) preserving first-appearance order, execute each
-  /// group batched. Exits only when stopped *and* the ring is empty, so
+  /// (prepared state, nsteps) preserving first-appearance order, execute
+  /// each group batched. Exits only when stopped *and* the ring is empty, so
   /// shutdown drains every accepted request.
   void dispatch_loop() {
     std::vector<Request*> round;
@@ -450,7 +448,10 @@ struct Server::Impl {
       for (Request* r : round) {
         std::vector<Request*>* g = nullptr;
         for (auto& cand : groups)
-          if (cand[0]->key == r->key && cand[0]->nsteps == r->nsteps) {
+          // One prepared state, not merely one plan key: a TuneCache
+          // store gives later handles of a key different geometry.
+          if (&cand[0]->ps.plan() == &r->ps.plan() &&
+              cand[0]->nsteps == r->nsteps) {
             g = &cand;
             break;
           }
@@ -523,8 +524,6 @@ Request* make_request(const std::string& tenant, const PreparedStencil& ps,
   r->tenant = tenant;
   r->nsteps = nsteps;
   r->plan = ps.plan_key();
-  // Fold nsteps into the group key: only same-horizon requests batch.
-  r->key = r->plan * 1099511628211ull + static_cast<std::uint64_t>(nsteps);
   r->submitted = Clock::now();
   return r;
 }

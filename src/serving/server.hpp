@@ -5,8 +5,9 @@
 /// "heavy traffic from millions of users" north star needs between request
 /// streams and the prepared-execution machinery: clients submit() prepared
 /// small-grid advances from any thread into a lock-free bounded MPSC ring;
-/// a single dispatcher thread drains the ring, groups requests by prepared
-/// plan key (PreparedStencil::plan_key()) and executes each group through
+/// a single dispatcher thread drains the ring, groups requests that share
+/// one prepared state (the same PreparedStencil, or a copy of it) and step
+/// count, and executes each group through
 /// one PreparedStencil::advance_batch() call — one pool dispatch advancing
 /// the whole batch, amortizing dispatch and barrier cost the same way
 /// resident layouts amortize the transpose involution. Results are bitwise

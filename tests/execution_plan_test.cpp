@@ -1,15 +1,22 @@
 // The ExecutionPlan layer and the auto-tuner: unified tiled-vs-untiled
 // execution through Solver::run for every Table-1 preset, the Tiling::Auto
-// cost model, registry tileability metadata, geometry negotiation, and the
-// measure-once / cache-reuse tuning contract.
+// cost model, registry tileability metadata, geometry negotiation, the
+// measure-once / cache-reuse tuning contract (through the Solver and
+// through Engine::tune on caller-owned views), and the strict tune-cache
+// line parser.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/solver.hpp"
 #include "core/tuner.hpp"
 #include "grid/grid_utils.hpp"
+#include "stencil/reference.hpp"
 
 namespace sf {
 namespace {
@@ -582,6 +589,314 @@ TEST(Tuner, UnparsableLinesAreSkipped) {
   EXPECT_EQ(c.load_file(path), 1u);
   EXPECT_EQ(c.size(), 1u);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The tune-cache line parser: seeded mutations of valid lines either load
+// exactly what an independent strict grammar reads, or are skipped whole.
+// ---------------------------------------------------------------------------
+
+// Whitespace-separated tokens, split by hand.
+std::vector<std::string> tokens_of(const std::string& line) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (char c : line) {
+    if (c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f') {
+      if (!cur.empty()) out.push_back(cur);
+      cur.clear();
+    } else {
+      cur += c;
+    }
+  }
+  if (!cur.empty()) out.push_back(cur);
+  return out;
+}
+
+// An optional sign then decimal digits, the value inside [lo, hi].
+bool strict_int(const std::string& v, long lo, long hi, long* out) {
+  const std::size_t first = !v.empty() && (v[0] == '+' || v[0] == '-');
+  if (first == v.size()) return false;
+  for (std::size_t i = first; i < v.size(); ++i)
+    if (v[i] < '0' || v[i] > '9') return false;
+  try {
+    const long long n = std::stoll(v);
+    if (n < lo || n > hi) return false;
+    *out = static_cast<long>(n);
+    return true;
+  } catch (const std::out_of_range&) {
+    return false;
+  }
+}
+
+// The documented cache-line grammar, written independently of the parser:
+// v1 has 12 columns, v2 adds tuned_threads, v3 adds levels and leaf.
+bool oracle_parse(const std::string& line, TuneKey* k, TunedGeometry* g) {
+  const std::vector<std::string> t = tokens_of(line);
+  if (t.empty()) return false;
+  const int version = t[0] == "v1" ? 1 : t[0] == "v2" ? 2 : t[0] == "v3" ? 3
+                                                                           : 0;
+  const std::size_t want[] = {0, 12, 13, 15};
+  if (version == 0 || t.size() != want[version]) return false;
+  // {lo, hi} per numeric column after the kernel key.
+  struct Range {
+    long lo, hi;
+  };
+  const Range r[] = {{0, 2},       {1, 3},       {0, INT_MAX},
+                     {1, LONG_MAX}, {1, LONG_MAX}, {1, LONG_MAX},
+                     {1, INT_MAX}, {1, INT_MAX}, {1, INT_MAX},
+                     {1, INT_MAX}, {0, INT_MAX}, {1, 3},
+                     {0, INT_MAX}};
+  long v[13] = {};
+  for (std::size_t i = 2; i < t.size(); ++i)
+    if (!strict_int(t[i], r[i - 2].lo, r[i - 2].hi, &v[i - 2])) return false;
+  k->kernel = t[1];
+  k->isa = static_cast<Isa>(v[0]);
+  k->dims = static_cast<int>(v[1]);
+  k->radius = static_cast<int>(v[2]);
+  k->nx = v[3];
+  k->ny = v[4];
+  k->nz = v[5];
+  k->tsteps = static_cast<int>(v[6]);
+  k->threads = static_cast<int>(v[7]);
+  g->tile = static_cast<int>(v[8]);
+  g->time_block = static_cast<int>(v[9]);
+  g->threads = version >= 2 ? static_cast<int>(v[10]) : 0;
+  k->levels = version == 3 ? static_cast<int>(v[11]) : 1;
+  g->leaf = version == 3 ? static_cast<int>(v[12]) : 0;
+  return true;
+}
+
+// One to three seeded edits of a valid line: a character inserted,
+// deleted or replaced (digits, signs, blanks, letters, a dot), a junk
+// token appended, the last token dropped, a token negated, or digits
+// appended until a column overflows.
+std::string mutate_line(std::string v, std::mt19937_64& rng) {
+  static const std::string kAlphabet = "0123456789+- \txv.";
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = v.empty() ? 0 : rng() % (v.size() + 1);
+    const char c = kAlphabet[rng() % kAlphabet.size()];
+    switch (rng() % 7) {
+      case 0: v.insert(at, 1, c); break;
+      case 1: if (at < v.size()) v.erase(at, 1); break;
+      case 2: if (at < v.size()) v[at] = c; break;
+      case 3: v += rng() % 2 ? " junk" : " 8"; break;
+      case 4: v.erase(v.find_last_of(' ')); break;
+      case 5: {
+        const std::size_t sp = v.find(' ', at);
+        if (sp != std::string::npos) v.insert(sp + 1, 1, '-');
+        break;
+      }
+      default: v += std::string(1 + rng() % 20, '9'); break;
+    }
+  }
+  return v;
+}
+
+TEST(Tuner, SeededMutatedCacheLinesParseStrictlyOrAreSkipped) {
+  const char* const seeds[] = {
+      "v1 ours-2step 1 2 1 128 96 1 10 4 40 6",
+      "v2 ours-2step 1 2 1 256 96 1 10 4 40 6 2",
+      "v3 ours-2step 1 2 1 384 96 1 10 4 40 6 2 2 8",
+      "v3 naive 0 3 2 36 24 20 16 2 8 4 0 3 0",
+      "v2 dlt 2 1 0 2000 1 1 48 8 128 16 0",
+  };
+  const std::string path = ::testing::TempDir() + "sf_tune_cache_fuzz.txt";
+  std::mt19937_64 rng(0x7c3e2021);
+  int accepted = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::string line =
+        iter < 5 ? seeds[iter] : mutate_line(seeds[rng() % 5], rng);
+    SCOPED_TRACE("line \"" + line + "\"");
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "%s\n", line.c_str());
+    std::fclose(f);
+    TuneCache c;
+    testing::internal::CaptureStderr();
+    const std::size_t loaded = c.load_file(path);
+    const std::string err = testing::internal::GetCapturedStderr();
+    TuneKey key;
+    TunedGeometry want;
+    if (oracle_parse(line, &key, &want)) {
+      ++accepted;
+      EXPECT_EQ(loaded, 1u);
+      EXPECT_TRUE(err.empty()) << err;
+      auto got = c.lookup(key);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, want);
+    } else {
+      EXPECT_EQ(loaded, 0u);
+      EXPECT_EQ(c.size(), 0u);
+      // One warning line for the file.
+      EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+    }
+  }
+  // The mutations exercise both outcomes, not just rejections.
+  EXPECT_GE(accepted, 50);
+  std::remove(path.c_str());
+}
+
+TEST(Tuner, MalformedLinesWarnOncePerFile) {
+  const std::string path = ::testing::TempDir() + "sf_tune_cache_warn.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("v3 ours-2step 1 2 1 384 96 1 10 4 40 6 2 2 8 junk\n", f);
+  std::fputs("v1 ours-2step 1 2 1 128 96 1 10 4 40 6\n", f);
+  std::fputs("v2 ours-2step 1 2 1 256 96 1 10 4 2 2 8.5\n", f);
+  std::fputs("v1 ours-2step 1 2 1 128 96 1 10 4 40 6x\n", f);
+  std::fputs("v1 ours-2step 1 2 1 -128 96 1 10 4 40 6\n", f);
+  std::fputs("v1 ours-2step 1 2 -3 128 96 1 10 4 40 6\n", f);
+  std::fputs("v1 ours-2step 1 2 1 128 96 1 10 0 40 6\n", f);
+  std::fclose(f);
+  TuneCache c;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(c.load_file(path), 1u);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("skipped 6"), std::string::npos) << err;
+  EXPECT_EQ(err.find('\n'), err.size() - 1) << err;
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Engine::tune on caller-owned views.
+// ---------------------------------------------------------------------------
+
+// A tiled, blocked, auto-geometry 1-D APOP preparation with every
+// per-handle axis off its default: resident layout, clean halos, no
+// per-call validation.
+PreparedStencil prepare_apop(ExecOptions opts = {}) {
+  opts.method = Method::Ours2;
+  opts.tiling = Tiling::On;
+  opts.threads = 2;
+  opts.tsteps = 16;
+  return Engine::instance().prepare(Preset::Apop, Extents{4096}, opts);
+}
+
+TEST(EngineTune, KeepsTheResolvedRequestIn1DWithSource) {
+  TuneCache& cache = TuneCache::instance();
+  cache.clear();
+  Engine& eng = Engine::instance();
+  ExecOptions opts;
+  opts.layout = prepare_apop().preferred_layout();
+  opts.halo_policy = HaloPolicy::Clean;
+  opts.validate = false;
+  const PreparedStencil ps = prepare_apop(opts);
+  ASSERT_TRUE(ps.plan().tiled && ps.plan().blocked);
+  ASSERT_EQ(ps.plan().source, PlanSource::Heuristic);
+  ASSERT_NE(ps.resident_layout(), Layout::Natural);
+  const int h = ps.halo();
+  Grid1D a(4096, h), b(4096, h), k(4096, h);
+  fill_random(a, 5);
+  fill_random(k, 6);
+  const long stores = cache.stored_count();
+  const FieldView1D kv = k.view();
+  const PreparedStencil tuned = eng.tune(ps, a.view(), b.view(), &kv);
+  EXPECT_EQ(cache.stored_count(), stores + 1);
+  EXPECT_EQ(tuned.plan().source, PlanSource::Tuned);
+  ASSERT_TRUE(cache.lookup(*ps.plan().tune_key).has_value());
+  EXPECT_EQ(tuned.plan().tune_key, ps.plan().tune_key);
+  EXPECT_EQ(tuned.plan_key(), ps.plan_key());
+  EXPECT_EQ(tuned.resident_layout(), ps.resident_layout());
+  EXPECT_EQ(tuned.halo_policy(), HaloPolicy::Clean);
+  EXPECT_FALSE(tuned.validates());
+  // The plan cache serves the same request the stored geometry, as Cached.
+  const PreparedStencil again = prepare_apop(opts);
+  EXPECT_EQ(again.plan().source, PlanSource::Cached);
+  EXPECT_EQ(again.plan().tile.tile, tuned.plan().tile.tile);
+  EXPECT_EQ(again.plan().tile.time_block, tuned.plan().tile.time_block);
+  cache.clear();
+}
+
+TEST(EngineTune, KeepsTheResolvedRequestIn3D) {
+  TuneCache& cache = TuneCache::instance();
+  cache.clear();
+  ExecOptions opts;
+  opts.tiling = Tiling::On;
+  opts.threads = 2;
+  opts.tsteps = 8;
+  opts.halo_policy = HaloPolicy::Clean;
+  const Extents ext{32, 24, 96};
+  const PreparedStencil ps =
+      Engine::instance().prepare(Preset::Heat3D, ext, opts);
+  ASSERT_TRUE(ps.plan().tiled && ps.plan().blocked);
+  const int h = ps.halo();
+  Grid3D a(96, 24, 32, h), b(96, 24, 32, h);
+  fill_random(a, 7);
+  const PreparedStencil tuned = Engine::instance().tune(ps, a.view(), b.view());
+  EXPECT_EQ(tuned.plan().source, PlanSource::Tuned);
+  EXPECT_EQ(tuned.plan_key(), ps.plan_key());
+  EXPECT_EQ(tuned.resident_layout(), ps.resident_layout());
+  EXPECT_EQ(tuned.halo_policy(), ps.halo_policy());
+  EXPECT_EQ(tuned.validates(), ps.validates());
+  // Tuned geometry is advisory: a tuned advance still matches the naive
+  // reference within the verification bound.
+  fill_random(a, 8);
+  copy(a, b);
+  Grid3D ra(96, 24, 32, h), rb(96, 24, 32, h);
+  copy(a, ra);
+  copy(a, rb);
+  tuned.advance(a.view(), b.view(), 8);
+  run_reference(preset(Preset::Heat3D).p3, ra.view(), rb.view(), 8);
+  EXPECT_LE(max_abs_diff(a, ra), 1e-10);
+  cache.clear();
+}
+
+TEST(EngineTune, NoOpOnUntiledExplicitAndCachedHandles) {
+  TuneCache& cache = TuneCache::instance();
+  cache.clear();
+  Engine& eng = Engine::instance();
+  ExecOptions opts;
+  opts.tiling = Tiling::On;
+  opts.threads = 2;
+  opts.tsteps = 16;
+  const Extents ext{112, 96};
+  ExecOptions off = opts, fixed = opts;
+  off.tiling = Tiling::Off;
+  fixed.tile = 48;
+  fixed.time_block = 8;
+  const PreparedStencil untiled = eng.prepare(Preset::Heat2D, ext, off);
+  const PreparedStencil expl = eng.prepare(Preset::Heat2D, ext, fixed);
+  ASSERT_FALSE(untiled.plan().tiled);
+  ASSERT_TRUE(expl.plan().tiled);
+  EXPECT_FALSE(expl.plan().tune_key.has_value());
+  const PreparedStencil heur = eng.prepare(Preset::Heat2D, ext, opts);
+  ASSERT_TRUE(heur.plan().tune_key.has_value());
+  cache.store(*heur.plan().tune_key, TunedGeometry{32, 4});
+  const PreparedStencil cached = eng.prepare(Preset::Heat2D, ext, opts);
+  ASSERT_EQ(cached.plan().source, PlanSource::Cached);
+
+  Grid2D a(96, 112, heur.halo()), b(96, 112, heur.halo());
+  fill_random(a, 9);
+  const long stores = cache.stored_count();
+  for (const PreparedStencil* ps : {&untiled, &expl, &cached}) {
+    const PreparedStencil out = eng.tune(*ps, a.view(), b.view());
+    EXPECT_EQ(&out.plan(), &ps->plan());
+  }
+  EXPECT_EQ(cache.stored_count(), stores);
+  cache.clear();
+}
+
+TEST(EngineTune, MismatchedViewsThrowBeforeAnyProbe) {
+  TuneCache& cache = TuneCache::instance();
+  cache.clear();
+  Engine& eng = Engine::instance();
+  const PreparedStencil ps = prepare_apop();
+  ASSERT_EQ(ps.plan().source, PlanSource::Heuristic);
+  const int h = ps.halo();
+  Grid1D a(4096, h), b(4096, h), k(4096, h), small(2048, h);
+  const FieldView1D kv = k.view();
+  const long stores = cache.stored_count();
+  // Wrong extent, the source array missing, an aliased pair, a view of
+  // the wrong dimensionality.
+  EXPECT_THROW(eng.tune(ps, small.view(), b.view(), &kv),
+               std::invalid_argument);
+  EXPECT_THROW(eng.tune(ps, a.view(), b.view()), std::invalid_argument);
+  EXPECT_THROW(eng.tune(ps, a.view(), a.view(), &kv), std::invalid_argument);
+  Grid2D a2(64, 72, h), b2(64, 72, h);
+  EXPECT_THROW(eng.tune(ps, a2.view(), b2.view()), std::invalid_argument);
+  EXPECT_EQ(cache.stored_count(), stores);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

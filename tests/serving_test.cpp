@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/tuner.hpp"
 #include "grid/grid_utils.hpp"
 #include "serving/server.hpp"
 #include "stencil/presets.hpp"
@@ -249,6 +250,63 @@ TEST(Server, SamePlanRequestsBatchInOneDispatch) {
     EXPECT_EQ(r.batch_size, nitems);
   }
   EXPECT_EQ(server.stats().max_batch, nitems);
+}
+
+// Two handles of one plan key run different geometry once a TuneCache
+// store lands between their preparations (what Engine::tune does). The
+// dispatcher batches by prepared state, so each request still executes
+// through its own handle's plan: batched == sequential per handle.
+TEST(Server, SamePlanKeyDifferentGeometryBatchSeparately) {
+  const StencilSpec& spec = preset(Preset::Heat2D);
+  ExecOptions opts;
+  opts.tiling = Tiling::On;
+  opts.threads = 2;
+  opts.tsteps = 16;
+  const Extents ext{112, 96};
+  const PreparedStencil heur = Engine::instance().prepare(spec, ext, opts);
+  ASSERT_TRUE(heur.plan().tune_key.has_value());
+  TuneCache::instance().store(*heur.plan().tune_key, TunedGeometry{32, 4});
+  const PreparedStencil tuned = Engine::instance().prepare(spec, ext, opts);
+  TuneCache::instance().clear();
+  ASSERT_EQ(tuned.plan_key(), heur.plan_key());
+  ASSERT_EQ(tuned.plan().tile.tile, 32);
+  ASSERT_NE(tuned.plan().tile.tile, heur.plan().tile.tile);
+
+  const int nitems = 32;
+  const int h = heur.halo();
+  std::deque<Grid2D> seq_a, seq_b, bat_a, bat_b;
+  for (int i = 0; i <= nitems; ++i) {  // item nitems: the gate's warm request
+    seq_a.emplace_back(96, 112, h);
+    seq_b.emplace_back(96, 112, h);
+    bat_a.emplace_back(96, 112, h);
+    bat_b.emplace_back(96, 112, h);
+    fill_random(seq_a.back(), 2100 + static_cast<std::uint64_t>(i));
+    copy(seq_a.back(), bat_a.back());
+  }
+  auto handle = [&](int i) -> const PreparedStencil& {
+    return i % 2 != 0 ? tuned : heur;
+  };
+  DispatcherGate gate;
+  ServerOptions sopts = gate.options();
+  sopts.max_batch = 2 * nitems;
+  Server server(sopts);
+  auto warm = server.submit("warm", heur, bat_a[nitems].view(),
+                            bat_b[nitems].view(), 16);
+  gate.await_entered();
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < nitems; ++i)
+    futures.push_back(server.submit("t", handle(i), bat_a[i].view(),
+                                    bat_b[i].view(), 16));
+  gate.release();
+  server.drain();
+  EXPECT_TRUE(warm.get().ok());
+  for (int i = 0; i < nitems; ++i) {
+    const ServeResult r = futures[i].get();
+    EXPECT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.batch_size, nitems / 2) << i;  // one dispatch per handle
+    handle(i).advance(seq_a[i].view(), seq_b[i].view(), 16);
+    EXPECT_EQ(max_abs_diff(seq_a[i].view(), bat_a[i].view()), 0.0) << i;
+  }
 }
 
 TEST(Server, MultiThreadedClientsMixedPresetsAndTenants) {
