@@ -7,7 +7,7 @@
 #include "bench_util/harness.hpp"
 #include "common/timing.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/kernels2d_impl.hpp"
+#include "kernels/stage.hpp"
 
 int main() {
   using namespace sf;

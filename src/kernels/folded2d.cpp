@@ -23,8 +23,7 @@
 
 #include "fold/region.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/registry.hpp"
-#include "kernels/kernels2d_impl.hpp"
+#include "kernels/stage.hpp"
 #include "simd/transpose.hpp"
 #include "simd/vecd.hpp"
 #include "stencil/reference.hpp"
@@ -35,7 +34,7 @@ namespace {
 template <int W>
 using V = simd::vecd<W>;
 
-constexpr int kMaxR2 = 4;        // folded radius cap (m=2, r<=2)
+constexpr int kMaxR2 = folded_max_radius<2>();  // m = 2, r <= 2
 constexpr int kMaxSrc = 2 * kMaxR2 + 2;  // basis columns + impulse
 
 inline int floor_div_w(int c, int w) { return c >= 0 ? c / w : -((-c - 1) / w) - 1; }
@@ -216,44 +215,15 @@ void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
   }
 }
 
-namespace {
-
-template <int W>
-void run_ours2_2d_impl(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps,
-                       bool reuse) {
-  const int ny = a.ny(), nx = a.nx();
-  const FoldingPlan plan = plan_folding(p, 2);
-  if (plan.radius > std::min(W, kMaxR2) ||
-      static_cast<int>(plan.basis.size()) + 1 > kMaxSrc) {
-    run_naive2d(p, a, b, tsteps);
-    return;
-  }
-  const Pattern2D lambda = power(p, 2);
-
-  const FieldView2D* cur = &a;
-  const FieldView2D* nxt = &b;
-  int t = 0;
-  for (; t + 2 <= tsteps; t += 2) {
-    folded2d_advance<W>(p, plan, lambda, *cur, *nxt, reuse, 0, ny);
-    std::swap(cur, nxt);
-  }
-  for (; t < tsteps; ++t) {
-    step_region_ml2d<W>(p, *cur, *nxt, 0, ny, 0, nx);
-    std::swap(cur, nxt);
-  }
-  if (cur != &a) copy_interior(*cur, a);
-}
-
-}  // namespace
-
 template <int W>
 void run_ours2_2d(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps) {
-  run_ours2_2d_impl<W>(p, a, b, tsteps, /*reuse=*/true);
+  run<Method::Ours2, W, 2>(p, a, b, nullptr, nullptr, tsteps);
 }
 
 template <int W>
 void run_ours2_2d_noreuse(const Pattern2D& p, const FieldView2D& a, const FieldView2D& b, int tsteps) {
-  run_ours2_2d_impl<W>(p, a, b, tsteps, /*reuse=*/false);
+  ping_pong(Stage<W, 2>(p, Method::Ours2, a.nx(), nullptr, nullptr, nullptr, /*reuse=*/false),
+            a, b, tsteps);
 }
 
 template void run_ours2_2d<1>(const Pattern2D&, const FieldView2D&, const FieldView2D&, int);
@@ -284,12 +254,11 @@ const KernelRegistrar reg2d_folded{{
     // The tiled stage (folded2d_advance over wedge row ranges) shares the
     // vector window, so the tiled radius range mirrors max_radius; the
     // wedge slope is fold-doubled (KernelInfo::wedge_slope).
-    kernel2d_info(Method::Ours2, Isa::Scalar, 1, 2, &detail::run_ours2_2d<1>,
-                  /*halo_floor=*/0, /*max_radius=*/-1, /*tiled_max_radius=*/-1),
-    kernel2d_info(Method::Ours2, Isa::Avx2, 4, 2, &detail::run_ours2_2d<4>, 0,
-                  2, 2),
-    kernel2d_info(Method::Ours2, Isa::Avx512, 8, 2, &detail::run_ours2_2d<8>,
-                  0, 2, 2),
+    detail::kernel_entry<Method::Ours2, 1, 2>(Isa::Scalar, /*halo_floor=*/0,
+                                              /*max_radius=*/-1,
+                                              /*tiled_max_radius=*/-1),
+    detail::kernel_entry<Method::Ours2, 4, 2>(Isa::Avx2, 0, 2, 2),
+    detail::kernel_entry<Method::Ours2, 8, 2>(Isa::Avx512, 0, 2, 2),
 }};
 
 }  // namespace

@@ -16,8 +16,7 @@
 #include "common/aligned_buffer.hpp"
 #include "fold/region.hpp"
 #include "grid/grid_utils.hpp"
-#include "kernels/registry.hpp"
-#include "kernels/kernels3d_impl.hpp"
+#include "kernels/stage.hpp"
 #include "simd/transpose.hpp"
 #include "simd/vecd.hpp"
 #include "stencil/reference.hpp"
@@ -28,7 +27,7 @@ namespace {
 template <int W>
 using V = simd::vecd<W>;
 
-constexpr int kMaxR3 = 2;  // folded radius cap (m = 2, r = 1 in 3-D presets)
+constexpr int kMaxR3 = folded_max_radius<3>();  // m = 2, r = 1
 
 /// Exact 2-step update of box `f2` (touching the domain shell): t+1 into a
 /// private buffer over f2's r-expansion, then t+2 over f2.
@@ -96,7 +95,6 @@ void folded3d_advance(const Pattern3D& p, const FoldingPlan& plan,
   const int nxv = nbx * W;
   const int nyv = ny - ny % W;
   const int nwin = 2 * R + 1;
-  const int ncols = nxv + 2 * R;  // columns [-R, nxv+R)
 
   // window[slot * nsrc + src] holds one plane's counterpart columns for the
   // current band; column x lives at offset (x + R) * W.
@@ -236,35 +234,6 @@ template void folded3d_advance<8>(const Pattern3D&, const FoldingPlan&,
                                   const Pattern3D&, const FieldView3D&, const FieldView3D&,
                                   std::vector<AlignedBuffer>&, int, int);
 
-template <int W>
-void run_ours2_3d(const Pattern3D& p, const FieldView3D& a, const FieldView3D& b, int tsteps) {
-  const int nz = a.nz(), ny = a.ny(), nx = a.nx();
-  const FoldingPlan plan = plan_folding(p, 2);
-  if (plan.radius > std::min(W, kMaxR3)) {
-    run_naive3d(p, a, b, tsteps);
-    return;
-  }
-  const Pattern3D lambda = power(p, 2);
-  std::vector<AlignedBuffer> window;
-
-  const FieldView3D* cur = &a;
-  const FieldView3D* nxt = &b;
-  int t = 0;
-  for (; t + 2 <= tsteps; t += 2) {
-    folded3d_advance<W>(p, plan, lambda, *cur, *nxt, window, 0, nz);
-    std::swap(cur, nxt);
-  }
-  for (; t < tsteps; ++t) {
-    step_region_ml3d<W>(p, *cur, *nxt, 0, nz, 0, ny, 0, nx);
-    std::swap(cur, nxt);
-  }
-  if (cur != &a) copy_interior(*cur, a);
-}
-
-template void run_ours2_3d<1>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void run_ours2_3d<4>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-template void run_ours2_3d<8>(const Pattern3D&, const FieldView3D&, const FieldView3D&, int);
-
 }  // namespace sf::detail
 
 namespace sf {
@@ -276,12 +245,11 @@ namespace {
 const KernelRegistrar reg3d_folded{{
     // Tiled stage shares the plane window: tiled radius mirrors max_radius
     // (see folded2d.cpp).
-    kernel3d_info(Method::Ours2, Isa::Scalar, 1, 2, &detail::run_ours2_3d<1>,
-                  /*halo_floor=*/0, /*max_radius=*/-1, /*tiled_max_radius=*/-1),
-    kernel3d_info(Method::Ours2, Isa::Avx2, 4, 2, &detail::run_ours2_3d<4>, 0,
-                  1, 1),
-    kernel3d_info(Method::Ours2, Isa::Avx512, 8, 2, &detail::run_ours2_3d<8>,
-                  0, 1, 1),
+    detail::kernel_entry<Method::Ours2, 1, 3>(Isa::Scalar, /*halo_floor=*/0,
+                                              /*max_radius=*/-1,
+                                              /*tiled_max_radius=*/-1),
+    detail::kernel_entry<Method::Ours2, 4, 3>(Isa::Avx2, 0, 1, 1),
+    detail::kernel_entry<Method::Ours2, 8, 3>(Isa::Avx512, 0, 1, 1),
 }};
 
 }  // namespace

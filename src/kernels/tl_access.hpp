@@ -11,41 +11,10 @@
 //    or tail via a scalar insert.
 #pragma once
 
-#include "grid/grid_utils.hpp"
 #include "layout/transpose_layout.hpp"
 #include "simd/vecd.hpp"
 
 namespace sf {
-
-/// Staged 1-D source array for the transpose-layout kernels: resolves the
-/// optional time-invariant source view `k` to the pointer kernels read
-/// through. A Layout::Transposed-tagged view is read zero-copy (the caller
-/// keeps it resident); otherwise the array is copied into private staging
-/// and — when `to_layout` is set — transformed into the transpose layout,
-/// leaving the caller's `k` untouched. Shared by the untiled kernels
-/// (kernels1d.cpp) and the tiled 1-D engine (split_tiling.cpp).
-template <int W>
-struct StagedSource1D {
-  Grid1D staging;
-  const double* data = nullptr;  ///< What kernels read; null without source.
-
-  explicit StagedSource1D(const FieldView1D* k, bool to_layout = true)
-      : staging(needs_copy(k) ? k->n() : 1, needs_copy(k) ? k->halo() : 1) {
-    if (k == nullptr) return;
-    if (!needs_copy(k)) {
-      data = k->data();
-      return;
-    }
-    copy(*k, staging);
-    if (to_layout) grid_transpose_layout<W>(staging);
-    data = staging.data();
-  }
-
- private:
-  static bool needs_copy(const FieldView1D* k) {
-    return k != nullptr && k->layout() != Layout::Transposed;
-  }
-};
 
 template <int W>
 struct TLRow {
@@ -83,20 +52,6 @@ struct TLRow {
         b + 1 < nb ? p[(b + 1) * W * W + q * W] : p[(b + 1) * W * W + q];
     return simd::blend_last(simd::rotate_l1(plain(b, q)), V::set1(carry));
   }
-
-  /// Scalar access by logical index (works for halo, tail, and transposed
-  /// region alike).
-  double logical(int i) const { return p[tl_index<W>(i, n)]; }
-};
-
-/// Mutable view for scalar stores into a transposed row.
-template <int W>
-struct TLRowMut {
-  double* p;
-  int n;
-
-  TLRowMut(double* row, int len) : p(row), n(len) {}
-  double& logical(int i) { return p[tl_index<W>(i, n)]; }
 };
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 
 namespace sf::simd {
@@ -34,8 +35,8 @@ struct vecd<1> {
   friend vecd operator+(vecd a, vecd b) { return {a.v + b.v}; }
   friend vecd operator-(vecd a, vecd b) { return {a.v - b.v}; }
   friend vecd operator*(vecd a, vecd b) { return {a.v * b.v}; }
-  /// a*b + c
-  static vecd fma(vecd a, vecd b, vecd c) { return {a.v * b.v + c.v}; }
+  /// a*b + c with one rounding, as the vector widths compute it.
+  static vecd fma(vecd a, vecd b, vecd c) { return {std::fma(a.v, b.v, c.v)}; }
 
   double lane(int) const { return v; }
 };

@@ -5,31 +5,14 @@
 #include <memory>
 #include <vector>
 
-#include "fold/folding_plan.hpp"
-#include "grid/grid_utils.hpp"
-#include "kernels/kernels2d_impl.hpp"
-#include "kernels/kernels3d_impl.hpp"
-#include "kernels/tl_access.hpp"
-#include "layout/dlt_layout.hpp"
+#include "kernels/stage.hpp"
 #include "layout/transpose_layout.hpp"
-#include "simd/vecd.hpp"
-#include "stencil/reference.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sf {
 namespace {
 
-using detail::folded2d_advance;
-using detail::folded3d_advance;
-using detail::step_planes_dlt3d;
-using detail::step_planes_tl3d;
-using detail::step_region_ml2d;
-using detail::step_region_ml3d;
-using detail::step_rows_dlt2d;
-using detail::step_rows_tl2d;
-
-template <int W>
-using V = simd::vecd<W>;
+using detail::Stage;
 
 /// Geometry/schedule parameters of one wedge run (time in super-steps).
 struct WedgePlan {
@@ -241,234 +224,13 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
 }
 
 // ---------------------------------------------------------------------------
-// 1-D advancers (region [lo, hi) of x)
-// ---------------------------------------------------------------------------
-
-/// One step over [lo, hi) of a transposed row: whole vector sets inside the
-/// region go vectorized, partial sets scalar through the index map.
-template <int W>
-void tl_region_step_1d(const Pattern1D& p, const Pattern1D* src,
-                       const double* kk, int n, const double* in_p,
-                       double* out_p, int lo, int hi) {
-  const int bs = W * W;
-  const int r = p.radius();
-  TLRow<W> in(in_p, n);
-  TLRow<W> kin(kk != nullptr ? kk : in_p, n);
-
-  auto scalar_span = [&](int s0, int s1) {
-    for (int i = s0; i < s1; ++i) {
-      double acc = 0;
-      for (const auto& t : p.taps) acc += t.w * in.logical(i + t.off[0]);
-      if (src != nullptr)
-        for (const auto& t : src->taps) acc += t.w * kin.logical(i + t.off[0]);
-      out_p[tl_index<W>(i, n)] = acc;
-    }
-  };
-
-  const int b0 = (lo + bs - 1) / bs;
-  const int b1 = std::min(hi / bs, in.nb);
-  if (b0 >= b1) {
-    scalar_span(lo, hi);
-    return;
-  }
-  scalar_span(lo, b0 * bs);
-  V<W> vv[3 * W];
-  V<W> vk[3 * W];
-  const int sr = src != nullptr ? src->radius() : 0;
-  for (int blk = b0; blk < b1; ++blk) {
-    for (int i = 0; i < W + 2 * r; ++i) vv[i] = in.vec(blk, i - r);
-    if (src != nullptr)
-      for (int i = 0; i < W + 2 * sr; ++i) vk[i] = kin.vec(blk, i - sr);
-    for (int j = 0; j < W; ++j) {
-      V<W> acc = V<W>::zero();
-      for (const auto& t : p.taps)
-        acc = V<W>::fma(V<W>::set1(t.w), vv[j + t.off[0] + r], acc);
-      if (src != nullptr)
-        for (const auto& t : src->taps)
-          acc = V<W>::fma(V<W>::set1(t.w), vk[j + t.off[0] + sr], acc);
-      acc.store(out_p + blk * bs + j * W);
-    }
-  }
-  scalar_span(b1 * bs, hi);
-}
-
-/// Folded (m = 2) super-step over [lo, hi) of a transposed row, with a
-/// private-buffer boundary correction where the region touches the domain
-/// ends (the folded expansion assumes the halo advances in time).
-template <int W>
-void tl_folded_region_step_1d(const Pattern1D& p, const Pattern1D& lam,
-                              const Pattern1D* src, const Pattern1D* fsrc,
-                              const double* kk, int n, const double* in_p,
-                              double* out_p, int lo, int hi) {
-  tl_region_step_1d<W>(lam, fsrc, kk, n, in_p, out_p, lo, hi);
-
-  const int r = p.radius();
-  if (r == 0) return;
-  TLRow<W> in(in_p, n);
-  TLRow<W> kin(kk != nullptr ? kk : in_p, n);
-  auto stepwise_at = [&](int i, const std::function<double(int)>& level) {
-    double acc = 0;
-    for (const auto& t : p.taps) acc += t.w * level(i + t.off[0]);
-    if (src != nullptr)
-      for (const auto& t : src->taps) acc += t.w * kin.logical(i + t.off[0]);
-    return acc;
-  };
-  for (int side = 0; side < 2; ++side) {
-    const int r0 = side == 0 ? 0 : std::max(n - r, 0);
-    const int r1 = side == 0 ? std::min(r, n) : n;
-    const int f0 = std::max(r0 - r, 0), f1 = std::min(r1 + r, n);
-    if (std::max(r0, lo) >= std::min(r1, hi)) continue;
-    std::vector<double> t1(static_cast<std::size_t>(f1 - f0));
-    std::function<double(int)> lvl0 = [&](int i) { return in.logical(i); };
-    for (int i = f0; i < f1; ++i)
-      t1[static_cast<std::size_t>(i - f0)] = stepwise_at(i, lvl0);
-    std::function<double(int)> lvl1 = [&](int i) {
-      if (i < f0 || i >= f1) return in.logical(i);  // halo never advances
-      return t1[static_cast<std::size_t>(i - f0)];
-    };
-    for (int i = std::max(r0, lo); i < std::min(r1, hi); ++i)
-      out_p[tl_index<W>(i, n)] = stepwise_at(i, lvl1);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Region kernels: the only tiling code that differs per dimension
-// ---------------------------------------------------------------------------
-
-/// Stage<W, D> binds the per-run operands of the region kernels and offers
-/// step(in, out, lo, hi, worker) — one super-step of the run's method over
-/// [lo, hi) of the tiled (outermost) axis — plus remainder(in, out), the
-/// plain single step of the folded remainder over the whole domain, and
-/// transposed(method), whether the method works in the register-transpose
-/// layout.
-template <int W, int D>
-struct Stage;
-
-/// 1-D: "ours" and "ours-2step" both step transposed rows; the APOP source
-/// term rides along (a resident source array is read zero-copy, anything
-/// else through a staged private copy in the working layout).
-template <int W>
-struct Stage<W, 1> {
-  const Pattern1D& p;
-  Method method;
-  const Pattern1D* src;
-  const FieldView1D* k;
-  StagedSource1D<W> ks;
-  Pattern1D lam, fsrc;
-
-  Stage(const Pattern1D& p_, Method m, WorkerPool*, const Pattern1D* src_,
-        const FieldView1D* k_, bool tl)
-      : p(p_), method(m), src(src_), k(k_), ks(k_, /*to_layout=*/tl),
-        lam(power(p_, 2)) {
-    if (src != nullptr) fsrc = compose(power_sum(p, 2), *src);
-  }
-  static bool transposed(Method m) {
-    return m == Method::Ours || m == Method::Ours2;
-  }
-  void step(const FieldView1D& in, const FieldView1D& out, int lo, int hi,
-            int) const {
-    switch (method) {
-      case Method::Ours:
-        tl_region_step_1d<W>(p, src, ks.data, in.n(), in.data(), out.data(),
-                             lo, hi);
-        break;
-      case Method::Ours2:
-        tl_folded_region_step_1d<W>(p, lam, src,
-                                    src != nullptr ? &fsrc : nullptr, ks.data,
-                                    in.n(), in.data(), out.data(), lo, hi);
-        break;
-      default:
-        apply_pattern(p, in, out, lo, hi);
-        // Source reads must match the active layout (none here: Naive).
-        if (src != nullptr && k != nullptr) add_source(*src, *k, out, lo, hi);
-        break;
-    }
-  }
-  void remainder(const FieldView1D& in, const FieldView1D& out) const {
-    tl_region_step_1d<W>(p, src, ks.data, in.n(), in.data(), out.data(), 0,
-                         in.n());
-  }
-};
-
-/// 2-D: tiles rows; "ours-2step" folds natural-layout rows.
-template <int W>
-struct Stage<W, 2> {
-  const Pattern2D& p;
-  Method method;
-  FoldingPlan fold;
-  Pattern2D lam;
-
-  Stage(const Pattern2D& p_, Method m, WorkerPool*, const Pattern1D*,
-        const FieldView2D*, bool)
-      : p(p_), method(m),
-        fold(m == Method::Ours2 ? plan_folding(p_, 2) : FoldingPlan{}),
-        lam(power(p_, 2)) {}
-  static bool transposed(Method m) { return m == Method::Ours; }
-  void step(const FieldView2D& in, const FieldView2D& out, int lo, int hi,
-            int) const {
-    switch (method) {
-      case Method::Ours: step_rows_tl2d<W>(p, in, out, lo, hi); break;
-      case Method::Ours2:
-        folded2d_advance<W>(p, fold, lam, in, out, /*reuse=*/true, lo, hi);
-        break;
-      case Method::DLT: step_rows_dlt2d<W>(p, in, out, lo, hi); break;
-      default: apply_pattern(p, in, out, lo, hi, 0, in.nx()); break;
-    }
-  }
-  void remainder(const FieldView2D& in, const FieldView2D& out) const {
-    step_region_ml2d<W>(p, in, out, 0, in.ny(), 0, in.nx());
-  }
-};
-
-/// 3-D: tiles planes; "ours-2step" folds natural-layout planes through a
-/// sliding plane window.
-template <int W>
-struct Stage<W, 3> {
-  const Pattern3D& p;
-  Method method;
-  WorkerPool* pool;
-  FoldingPlan fold;
-  Pattern3D lam;
-
-  Stage(const Pattern3D& p_, Method m, WorkerPool* pool_, const Pattern1D*,
-        const FieldView3D*, bool)
-      : p(p_), method(m), pool(pool_),
-        fold(m == Method::Ours2 ? plan_folding(p_, 2) : FoldingPlan{}),
-        lam(power(p_, 2)) {}
-  static bool transposed(Method m) { return m == Method::Ours; }
-  void step(const FieldView3D& in, const FieldView3D& out, int lo, int hi,
-            int wk) const {
-    switch (method) {
-      case Method::Ours: step_planes_tl3d<W>(p, in, out, lo, hi); break;
-      case Method::Ours2: {
-        // The sliding plane window lives in the owning worker's pool arena
-        // (allocated there, so its pages sit on the worker's NUMA node;
-        // the pipelined schedule's prologue sizes it). Off-pool callers fall
-        // back to a calling-thread-local window.
-        thread_local std::vector<AlignedBuffer> tls_window;
-        std::vector<AlignedBuffer>& window =
-            pool != nullptr && wk >= 0 ? pool->arena(wk) : tls_window;
-        folded3d_advance<W>(p, fold, lam, in, out, window, lo, hi);
-        break;
-      }
-      case Method::DLT: step_planes_dlt3d<W>(p, in, out, lo, hi); break;
-      default:
-        apply_pattern(p, in, out, lo, hi, 0, in.ny(), 0, in.nx());
-        break;
-    }
-  }
-  void remainder(const FieldView3D& in, const FieldView3D& out) const {
-    step_region_ml3d<W>(p, in, out, 0, in.nz(), 0, in.ny(), 0, in.nx());
-  }
-};
-
-// ---------------------------------------------------------------------------
-// The tiled driver, written once over D
+// The tiled run, written once over D
 // ---------------------------------------------------------------------------
 
 /// Runs `tsteps` steps split-tiled along the outermost axis (x in 1-D, y in
-/// 2-D, z in 3-D): layout setup, the wedge schedule, the folded remainder
-/// and the copy-back, with Stage<W, D> supplying the region kernels.
+/// 2-D, z in 3-D): the kernels' ping-pong loop (kernels/stage.hpp) with
+/// the wedge schedule as its sweep, and the run's Stage<W, D> — the same
+/// region steps the untiled kernels run — as the wedge advance.
 ///
 /// `serial` forces the whole run onto the calling thread (no pool
 /// dispatch): the batched entry runs each item this way on the pool worker
@@ -482,43 +244,28 @@ void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
                 const FieldView<D>* k, int tsteps, const TilePlan& opt,
                 bool serial) {
   const int n = a.outer_extent();
-  const Method mth = opt.method;
-  const int m = mth == Method::Ours2 ? 2 : 1;
-  const int super = tsteps / m;
-  const int rem = tsteps - super * m;
+  const int m = opt.method == Method::Ours2 ? 2 : 1;
   long slice_bytes = sizeof(double);
   for (int ax = 0; ax + 1 < D; ++ax) slice_bytes *= a.extent(ax);
-  const WedgePlan w = make_plan(n, m * p.radius(), super, opt, m, slice_bytes);
+  const WedgePlan w =
+      make_plan(n, m * p.radius(), tsteps / m, opt, m, slice_bytes);
   const std::shared_ptr<WorkerPool> pool = serial ? nullptr : plan_pool(w);
+  const Stage<W, D> stage(p, opt.method, a.nx(), src, k, pool.get());
 
-  // Layout setup. Transposed-resident views (core/engine.hpp) are already
-  // in layout — skip the per-run involution. Above 1-D the halo rows of
-  // both buffers are transformed too (kernels read y/z-neighbours of
-  // boundary rows in layout); a 1-D row keeps its halo in natural order and
-  // its kernels write every interior cell of `b` before reading it, so `b`
-  // stays natural there. Pipelined blocked runs above 1-D fold the
-  // to-layout transform into the schedule itself (each worker transposes
-  // its own rows as the wedge prologue — see wedge_schedule) instead of
+  // Transposed-resident views (core/engine.hpp) skip the layout transform
+  // (ping_pong). Pipelined blocked runs above 1-D fold the to-layout
+  // transform into the schedule itself (each worker transposes its own
+  // rows as the wedge prologue — see wedge_schedule) instead of
   // serializing it in front of the first stage; 1-D W*W blocks straddle
   // tile boundaries, so a 1-D row is transformed upfront.
-  const bool tl = Stage<W, D>::transposed(mth);
-  const bool dlt = mth == Method::DLT;
-  const bool transform = tl && a.layout() != Layout::Transposed;
-  const bool overlap_layout =
-      transform && D > 1 && w.blocked && pipelined_schedule(w, pool.get());
-  if (transform && !overlap_layout) {
-    grid_transpose_layout<W>(a);
-    if (D > 1) grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_to_dlt(a, W);
-    grid_to_dlt(b, W);
-  }
-  const Stage<W, D> stage(p, mth, pool.get(), src, k, tl);
+  const bool overlap_layout = D > 1 && stage.layout() == Layout::Transposed &&
+                              a.layout() != Layout::Transposed && w.blocked &&
+                              pipelined_schedule(w, pool.get());
   auto adv = [&](const FieldView<D>& in, const FieldView<D>& out, int lo,
                  int hi, int wk) { stage.step(in, out, lo, hi, wk); };
-
-  int cursor = 0;
-  if (w.blocked) {
+  auto sweep = [&](int supers) {
+    // Domain too small to tile: plain full sweeps.
+    if (!w.blocked) return detail::full_sweeps(stage, a, b, supers);
     // Pipelined 3-D folded runs first-touch the per-worker plane window in
     // the prologue slot that already overlaps the first super-step — the
     // same down(0) transitive wait orders it, so no extra sync edge and no
@@ -527,10 +274,10 @@ void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
     bool overlap_arena = false;
     detail::Folded3DWindowShape window_shape;
     if constexpr (D == 3) {
-      overlap_arena = mth == Method::Ours2 && pool != nullptr &&
+      overlap_arena = stage.method() == Method::Ours2 && pool != nullptr &&
                       pipelined_schedule(w, pool.get());
       if (overlap_arena)
-        window_shape = detail::folded3d_window_shape(stage.fold, a.nx(), W);
+        window_shape = detail::folded3d_window_shape(stage.plan(), a.nx(), W);
     }
     std::function<void(int, int, int)> prologue;
     if (overlap_layout || overlap_arena) {
@@ -548,30 +295,10 @@ void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
         grid_transpose_layout<W>(b, lo, hi);
       };
     }
-    cursor = wedge_schedule(a, b, w, super, adv, pool.get(), prologue);
-  } else {
-    // Domain too small to tile: plain full sweeps.
-    const FieldView<D>* bufs[2] = {&a, &b};
-    for (int s = 0; s < super; ++s) {
-      adv(*bufs[cursor], *bufs[cursor ^ 1], 0, n, -1);
-      cursor ^= 1;
-    }
-  }
-  // Remainder single steps (folded runs only).
-  const FieldView<D>* bufs[2] = {&a, &b};
-  for (int t = 0; t < rem; ++t) {
-    stage.remainder(*bufs[cursor], *bufs[cursor ^ 1]);
-    cursor ^= 1;
-  }
-  if (cursor != 0) copy_interior(b, a);
-
-  if (transform) {
-    grid_transpose_layout<W>(a);
-    if (D > 1) grid_transpose_layout<W>(b);
-  } else if (dlt) {
-    grid_from_dlt(a, W);
-    grid_from_dlt(b, W);
-  }
+    return wedge_schedule(a, b, w, supers, adv, pool.get(), prologue);
+  };
+  detail::ping_pong(stage, a, b, tsteps, sweep,
+                    /*layout_in=*/!overlap_layout);
 }
 
 /// Whether the plan's tiled stage engages for this pattern and row extent

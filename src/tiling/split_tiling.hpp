@@ -22,8 +22,10 @@
 /// tuned geometry back in — is the job of the ExecutionPlan layer
 /// (core/execution_plan.hpp), which `Solver::run` drives.
 ///
-/// The driver is written once over the dimensionality D (FieldView<D>,
-/// grid/field_view.hpp); only the region kernels differ per dimension.
+/// The engine is written once over the dimensionality D (FieldView<D>,
+/// grid/field_view.hpp) and advances wedges with the same region steps the
+/// untiled kernels run (kernels/stage.hpp); only the folded advance bodies
+/// differ per dimension.
 #pragma once
 
 #include <vector>

@@ -8,7 +8,7 @@
 #include "common/cpu.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/registry.hpp"
-#include "kernels/kernels2d_impl.hpp"
+#include "kernels/stage.hpp"
 #include "stencil/presets.hpp"
 #include "stencil/reference.hpp"
 
@@ -104,17 +104,22 @@ TEST(Kernel2D, ShiftsReuseBitExact) {
 }
 
 TEST(Kernel2D, ScratchGridRestored) {
-  // Layout-changing kernels must leave the scratch grid's halo usable.
+  // Layout-changing kernels (the transpose layout and DLT both transform
+  // the scratch grid's halo rows) must leave that halo usable.
   const auto& spec = preset(Preset::Heat2D);
   const int ny = 24, nx = 32, halo = 8;
-  Grid2D a(ny, nx, halo), b(ny, nx, halo);
-  fill_random(a, 9);
-  copy(a, b);
-  Grid2D bhalo(ny, nx, halo);
-  copy(b, bhalo);
-  require_kernel(Method::Ours, 2, Isa::Avx2).run2(spec.p2, a, b, 3);
-  for (int x = -halo; x < nx + halo; ++x)
-    EXPECT_DOUBLE_EQ(b.at(-1, x), bhalo.at(-1, x));
+  for (Method m : {Method::Ours, Method::DLT}) {
+    Grid2D a(ny, nx, halo), b(ny, nx, halo);
+    fill_random(a, 9);
+    copy(a, b);
+    Grid2D bhalo(ny, nx, halo);
+    copy(b, bhalo);
+    require_kernel(m, 2, Isa::Avx2).run2(spec.p2, a, b, 3);
+    for (int y : {-1, ny})
+      for (int x = -halo; x < nx + halo; ++x)
+        EXPECT_DOUBLE_EQ(b.at(y, x), bhalo.at(y, x))
+            << method_name(m) << " y " << y << " x " << x;
+  }
 }
 
 }  // namespace

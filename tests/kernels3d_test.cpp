@@ -81,5 +81,28 @@ std::vector<Case> make_cases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, Kernel3D, ::testing::ValuesIn(make_cases()),
                          case_name);
 
+TEST(Kernel3D, ScratchGridRestored) {
+  // As in 2-D: the transpose layout and DLT transform the scratch grid's
+  // halo planes and rows and must restore them.
+  const auto& spec = preset(Preset::Heat3D);
+  const int nz = 6, ny = 10, nx = 32, halo = 8;
+  for (Method m : {Method::Ours, Method::DLT}) {
+    Grid3D a(nz, ny, nx, halo), b(nz, ny, nx, halo);
+    fill_random(a, 9);
+    copy(a, b);
+    Grid3D bhalo(nz, ny, nx, halo);
+    copy(b, bhalo);
+    require_kernel(m, 3, Isa::Avx2).run3(spec.p3, a, b, 3);
+    for (int x = -halo; x < nx + halo; ++x) {
+      for (int z : {-1, nz})
+        EXPECT_DOUBLE_EQ(b.at(z, 0, x), bhalo.at(z, 0, x))
+            << method_name(m) << " plane " << z << " x " << x;
+      for (int y : {-1, ny})
+        EXPECT_DOUBLE_EQ(b.at(0, y, x), bhalo.at(0, y, x))
+            << method_name(m) << " row " << y << " x " << x;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sf
