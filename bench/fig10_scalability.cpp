@@ -38,17 +38,21 @@ double barrier_gflops(sf::Solver& s) {
   Timer timer;
   switch (spec.dims) {
     case 1: {
-      const FieldView1D k = ws.k1 ? ws.k1->view() : FieldView1D();
-      run_tile_plan(spec.p1, ws.a1->view(), ws.b1->view(),
+      const FieldView1D k =
+          ws.grids<1>().k ? ws.grids<1>().k->view() : FieldView1D();
+      run_tile_plan(spec.p1, ws.grids<1>().a->view(),
+                    ws.grids<1>().b->view(),
                     spec.has_source ? &spec.src1 : nullptr,
-                    ws.k1 ? &k : nullptr, s.tsteps(), plan);
+                    ws.grids<1>().k ? &k : nullptr, s.tsteps(), plan);
       break;
     }
     case 2:
-      run_tile_plan(spec.p2, ws.a2->view(), ws.b2->view(), s.tsteps(), plan);
+      run_tile_plan(spec.p2, ws.grids<2>().a->view(), ws.grids<2>().b->view(),
+                    s.tsteps(), plan);
       break;
     default:
-      run_tile_plan(spec.p3, ws.a3->view(), ws.b3->view(), s.tsteps(), plan);
+      run_tile_plan(spec.p3, ws.grids<3>().a->view(), ws.grids<3>().b->view(),
+                    s.tsteps(), plan);
       break;
   }
   const double sec = timer.seconds();

@@ -104,8 +104,9 @@ int main() {
     // verification tolerance (bitwise identity across depths at *fixed*
     // geometry is asserted by the tiling fuzz tests).
     const double diff =
-        max_abs_diff(*flat.workspace().a3, *tree.workspace().a3);
-    if (diff > 1e-11 * std::max(1.0, max_abs(*flat.workspace().a3))) {
+        max_abs_diff(*flat.workspace().grids<3>().a,
+                     *tree.workspace().grids<3>().a);
+    if (diff > 1e-11 * std::max(1.0, max_abs(*flat.workspace().grids<3>().a))) {
       std::cerr << "MISMATCH: tree result differs from flat by " << diff
                 << " at nz = " << nz << "\n";
       mismatch = true;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/env.hpp"
@@ -25,35 +26,23 @@ namespace sf {
 // ---------------------------------------------------------------------------
 
 double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz) {
-  double pts = static_cast<double>(nx);
-  long f = 0;
-  switch (spec.dims) {
-    case 1:
-      f = spec.p1.flops_per_point();
-      if (spec.has_source) f += 2 * static_cast<long>(spec.src1.size());
-      break;
-    case 2:
-      pts *= static_cast<double>(ny);
-      f = spec.p2.flops_per_point();
-      break;
-    case 3:
-      pts *= static_cast<double>(ny) * static_cast<double>(nz);
-      f = spec.p3.flops_per_point();
-      break;
-    default:
-      throw std::logic_error("bad dims");
-  }
-  return pts * static_cast<double>(f);
+  return spec.visit([&](const auto& p) {
+    const long ext[] = {nx, ny, nz};
+    double pts = 1;
+    for (int ax = 0; ax < p.dims; ++ax) pts *= static_cast<double>(ext[ax]);
+    long f = p.flops_per_point();
+    if (p.dims == 1 && spec.has_source)
+      f += 2 * static_cast<long>(spec.src1.size());
+    return pts * static_cast<double>(f);
+  });
 }
 
 namespace {
 
 bool fold_profitable(const StencilSpec& s, int m) {
-  switch (s.dims) {
-    case 1: return profitability(s.p1, m).index_vec() > 1.0;
-    case 2: return profitability(s.p2, m).index_vec() > 1.0;
-    default: return profitability(s.p3, m).index_vec() > 1.0;
-  }
+  return s.visit([m](const auto& p) {
+    return profitability(p, m).index_vec() > 1.0;
+  });
 }
 
 }  // namespace
@@ -349,60 +338,25 @@ void PreparedStencil::run_views(const FieldView<D>& a, const FieldView<D>& b,
     st_->kernel->run(p, a, b, src, k, tsteps);
 }
 
-void PreparedStencil::run(FieldView1D a, FieldView1D b, int tsteps) const {
-  run_views<1>(a, b, nullptr, tsteps);
+template <int D>
+void PreparedStencil::run(FieldView<D> a, FieldView<D> b, int tsteps) const {
+  run_views<D>(a, b, nullptr, tsteps);
 }
 void PreparedStencil::run(FieldView1D a, FieldView1D b, FieldView1D k,
                           int tsteps) const {
   run_views<1>(a, b, k.valid() ? &k : nullptr, tsteps);
 }
-void PreparedStencil::run(FieldView2D a, FieldView2D b, int tsteps) const {
-  run_views<2>(a, b, nullptr, tsteps);
-}
-void PreparedStencil::run(FieldView3D a, FieldView3D b, int tsteps) const {
-  run_views<3>(a, b, nullptr, tsteps);
-}
-
-void PreparedStencil::advance(FieldView1D a, FieldView1D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
-void PreparedStencil::advance(FieldView1D a, FieldView1D b, FieldView1D k,
-                              int nsteps) const {
-  run(a, b, k, nsteps);
-}
-void PreparedStencil::advance(FieldView2D a, FieldView2D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
-void PreparedStencil::advance(FieldView3D a, FieldView3D b,
-                              int nsteps) const {
-  run(a, b, nsteps);
-}
 
 template <int D>
-void PreparedStencil::check_views(const FieldView<D>& a, const FieldView<D>& b,
-                                  const FieldView<D>* k) const {
+void PreparedStencil::validate_views(FieldView<D> a, FieldView<D> b,
+                                     const ViewArg<D>* k) const {
   require_prepared(*this, D, "validate_views");
   validate(*this, a, b, k);
 }
 
-void PreparedStencil::validate_views(FieldView1D a, FieldView1D b,
-                                     const FieldView1D* k) const {
-  check_views(a, b, k);
-}
-void PreparedStencil::validate_views(FieldView2D a, FieldView2D b,
-                                     const FieldView2D* k) const {
-  check_views(a, b, k);
-}
-void PreparedStencil::validate_views(FieldView3D a, FieldView3D b,
-                                     const FieldView3D* k) const {
-  check_views(a, b, k);
-}
-
 template <int D>
-void PreparedStencil::run_batch(const std::vector<TileBatch<D>>& items,
-                                int nsteps) const {
+void PreparedStencil::advance_batch(const std::vector<TileBatch<D>>& items,
+                                    int nsteps) const {
   require_prepared(*this, D, "advance_batch");
   if (items.empty()) return;
   for (const TileBatch<D>& it : items) {
@@ -427,19 +381,6 @@ void PreparedStencil::run_batch(const std::vector<TileBatch<D>>& items,
   else
     for (std::size_t i = 0; i < items.size(); ++i)
       run_item(static_cast<int>(i));
-}
-
-void PreparedStencil::advance_batch(const std::vector<TileBatch1D>& items,
-                                    int nsteps) const {
-  run_batch(items, nsteps);
-}
-void PreparedStencil::advance_batch(const std::vector<TileBatch2D>& items,
-                                    int nsteps) const {
-  run_batch(items, nsteps);
-}
-void PreparedStencil::advance_batch(const std::vector<TileBatch3D>& items,
-                                    int nsteps) const {
-  run_batch(items, nsteps);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,7 +427,7 @@ void split_over_placement(const ExecutionPlan& plan, WorkerPool* pool,
 }  // namespace
 
 template <int D>
-void PreparedStencil::touch(const FieldView<D>& v) const {
+void PreparedStencil::first_touch(FieldView<D> v) const {
   require_prepared(*this, D, "first_touch", /*check_dims=*/false);
   const int h = v.halo();
   split_over_placement(
@@ -501,10 +442,6 @@ void PreparedStencil::touch(const FieldView<D>& v) const {
                      });
       });
 }
-
-void PreparedStencil::first_touch(FieldView1D v) const { touch(v); }
-void PreparedStencil::first_touch(FieldView2D v) const { touch(v); }
-void PreparedStencil::first_touch(FieldView3D v) const { touch(v); }
 
 // ---------------------------------------------------------------------------
 // Resident-layout conversion helpers
@@ -571,24 +508,30 @@ FieldView<D> convert_layout(const PreparedStencil& ps, FieldView<D> v,
 
 }  // namespace
 
-FieldView1D to_resident_layout(const PreparedStencil& ps, FieldView1D v) {
+template <int D>
+FieldView<D> to_resident_layout(const PreparedStencil& ps, FieldView<D> v) {
   return convert_layout(ps, v, true, "to_resident_layout");
 }
-FieldView2D to_resident_layout(const PreparedStencil& ps, FieldView2D v) {
-  return convert_layout(ps, v, true, "to_resident_layout");
-}
-FieldView3D to_resident_layout(const PreparedStencil& ps, FieldView3D v) {
-  return convert_layout(ps, v, true, "to_resident_layout");
-}
-FieldView1D to_natural_layout(const PreparedStencil& ps, FieldView1D v) {
+template <int D>
+FieldView<D> to_natural_layout(const PreparedStencil& ps, FieldView<D> v) {
   return convert_layout(ps, v, false, "to_natural_layout");
 }
-FieldView2D to_natural_layout(const PreparedStencil& ps, FieldView2D v) {
-  return convert_layout(ps, v, false, "to_natural_layout");
-}
-FieldView3D to_natural_layout(const PreparedStencil& ps, FieldView3D v) {
-  return convert_layout(ps, v, false, "to_natural_layout");
-}
+
+// The D-generic entry points (engine.hpp), instantiated for 1-, 2- and 3-D.
+#define SF_ENTRY_POINTS(D)                                                   \
+  template void PreparedStencil::first_touch(FieldView<D>) const;            \
+  template void PreparedStencil::run(FieldView<D>, FieldView<D>, int) const; \
+  template void PreparedStencil::advance_batch(                              \
+      const std::vector<TileBatch<D>>&, int) const;                          \
+  template void PreparedStencil::validate_views<D>(                          \
+      FieldView<D>, FieldView<D>, const ViewArg<D>*) const;                  \
+  template FieldView<D> to_resident_layout(const PreparedStencil&,           \
+                                           FieldView<D>);                    \
+  template FieldView<D> to_natural_layout(const PreparedStencil&, FieldView<D>);
+SF_ENTRY_POINTS(1)
+SF_ENTRY_POINTS(2)
+SF_ENTRY_POINTS(3)
+#undef SF_ENTRY_POINTS
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -617,11 +560,7 @@ std::uint64_t hash_pattern(std::uint64_t h, const Pattern<D>& p) {
 std::uint64_t hash_spec(const StencilSpec& s) {
   std::uint64_t h = 1469598103934665603ull;
   h = fnv1a(h, static_cast<std::uint64_t>(s.dims));
-  switch (s.dims) {
-    case 1: h = hash_pattern(h, s.p1); break;
-    case 2: h = hash_pattern(h, s.p2); break;
-    default: h = hash_pattern(h, s.p3); break;
-  }
+  h = s.visit([h](const auto& p) { return hash_pattern(h, p); });
   h = fnv1a(h, s.has_source ? 1 : 0);
   if (s.has_source) h = hash_pattern(h, s.src1);
   return h;
@@ -671,6 +610,15 @@ void resolve_request(const StencilSpec& spec, Extents& ext,
   if (ext.ny == 0) ext.ny = spec.dims >= 2 ? spec.small_size[1] : 1;
   if (ext.nz == 0) ext.nz = spec.dims >= 3 ? spec.small_size[2] : 1;
   if (opts.tsteps == 0) opts.tsteps = static_cast<int>(spec.small_tsteps);
+  // The planner's byte counts — the working set and the tile planners'
+  // 3-slice cap, at most 1.5x it — must fit a long: bound them by twice
+  // the working set with a checked multiply.
+  long bytes = 2 * 2 * static_cast<long>(sizeof(double));
+  for (long e : {ext.nx, ext.ny, ext.nz})
+    if (__builtin_mul_overflow(bytes, e, &bytes))
+      bad_request("extents " + std::to_string(ext.nx) + " x " +
+                  std::to_string(ext.ny) + " x " + std::to_string(ext.nz) +
+                  " overflow the plan's byte counts");
   // Tile-tree depth: unset defers to SF_TILE_LEVELS; Auto (-1, from either
   // source) engages the full hierarchy exactly when the ping-pong working
   // set spills the LLC — flat plans already keep LLC-resident tiles.
@@ -716,11 +664,9 @@ bool same_spec(const StencilSpec& a, const StencilSpec& b) {
   if (a.id != b.id || a.name != b.name) return false;
   if (a.dims != b.dims || a.has_source != b.has_source) return false;
   if (a.has_source && !same_pattern(a.src1, b.src1)) return false;
-  switch (a.dims) {
-    case 1: return same_pattern(a.p1, b.p1);
-    case 2: return same_pattern(a.p2, b.p2);
-    default: return same_pattern(a.p3, b.p3);
-  }
+  return a.visit([&b](const auto& p) {
+    return same_pattern(p, b.pattern<std::decay_t<decltype(p)>::dims>());
+  });
 }
 
 }  // namespace

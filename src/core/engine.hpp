@@ -25,7 +25,10 @@
 /// (grid/field_view.hpp) over caller-owned memory; run() validates each
 /// view against the prepared geometry (extents, halo, alignment, stride,
 /// layout) and throws std::invalid_argument on mismatch instead of
-/// corrupting memory.
+/// corrupting memory. Every entry point is one template over the
+/// dimensionality D (explicitly instantiated for 1..3 in engine.cpp), and
+/// a Grid<D> is a FieldView<D>, so grids and views pass alike; only the
+/// 1-D source-term forms of run()/advance() are written apart.
 ///
 /// `sf::Solver` (core/solver.hpp) remains the convenience facade: it owns
 /// its grids and drives this layer (Engine::tune included) underneath.
@@ -125,33 +128,26 @@ class PreparedStencil {
   /// first touch is decided by the *first* write, so a buffer that was
   /// already zeroed serially gains nothing. Serial/untiled preparations
   /// (and Affinity::None pools) zero the buffer on the calling thread.
-  void first_touch(FieldView1D v) const;
-  /// 2-D overload of first_touch().
-  void first_touch(FieldView2D v) const;
-  /// 3-D overload of first_touch().
-  void first_touch(FieldView3D v) const;
+  template <int D>
+  void first_touch(FieldView<D> v) const;
 
-  /// Executes `tsteps` steps on a 1-D source-free stencil; result in `a`.
+  /// Executes `tsteps` steps on a source-free stencil; result in `a`.
   /// Throws std::invalid_argument on view/shape mismatch.
-  void run(FieldView1D a, FieldView1D b, int tsteps) const;
+  template <int D>
+  void run(FieldView<D> a, FieldView<D> b, int tsteps) const;
   /// 1-D run with the APOP time-invariant source array `k`.
   void run(FieldView1D a, FieldView1D b, FieldView1D k, int tsteps) const;
-  /// 2-D run; result in `a`.
-  void run(FieldView2D a, FieldView2D b, int tsteps) const;
-  /// 3-D run; result in `a`.
-  void run(FieldView3D a, FieldView3D b, int tsteps) const;
 
-  /// Streaming entry point: advances the fields `nsteps` further steps.
+  /// Streaming entry point: advances the fields `n` further steps.
   /// Identical semantics to run() (result in `a` after every call), named
   /// separately so step-wise callers express intent; repeated small
   /// advances are valid because no per-call planning or allocation occurs.
-  void advance(FieldView1D a, FieldView1D b, int nsteps) const;
+  template <int D>
+  void advance(FieldView<D> a, FieldView<D> b, int n) const { run(a, b, n); }
   /// 1-D streaming advance with the APOP source array `k`.
-  void advance(FieldView1D a, FieldView1D b, FieldView1D k, int nsteps) const;
-  /// 2-D streaming advance.
-  void advance(FieldView2D a, FieldView2D b, int nsteps) const;
-  /// 3-D streaming advance.
-  void advance(FieldView3D a, FieldView3D b, int nsteps) const;
+  void advance(FieldView1D a, FieldView1D b, FieldView1D k, int n) const {
+    run(a, b, k, n);
+  }
 
   /// Batched streaming advance: advances every item of `items` by `nsteps`
   /// steps with *one* pool dispatch (tiling/split_tiling.hpp
@@ -165,26 +161,18 @@ class PreparedStencil {
   /// pairwise disjoint (not cross-checked — each item's views are validated
   /// individually). A 1-D prepared stencil with a source term reads each
   /// item's own `k` view.
-  void advance_batch(const std::vector<TileBatch1D>& items, int nsteps) const;
-  /// 2-D overload of advance_batch().
-  void advance_batch(const std::vector<TileBatch2D>& items, int nsteps) const;
-  /// 3-D overload of advance_batch().
-  void advance_batch(const std::vector<TileBatch3D>& items, int nsteps) const;
+  template <int D>
+  void advance_batch(const std::vector<TileBatch<D>>& items, int nsteps) const;
 
-  /// Validates a 1-D view pair (plus optional source array) against the
-  /// prepared geometry exactly as run() does — unconditionally, even on
-  /// handles prepared with validation off. Throws std::invalid_argument on
-  /// mismatch. The serving front end calls this at submit time so a bad
-  /// request is rejected on the client thread instead of poisoning a batch.
-  void validate_views(FieldView1D a, FieldView1D b,
-                      const FieldView1D* k = nullptr) const;
-  /// 2-D overload of validate_views() (a non-null `k` is rejected: only
-  /// 1-D stencils have a source term).
-  void validate_views(FieldView2D a, FieldView2D b,
-                      const FieldView2D* k = nullptr) const;
-  /// 3-D overload of validate_views(); see the 2-D one.
-  void validate_views(FieldView3D a, FieldView3D b,
-                      const FieldView3D* k = nullptr) const;
+  /// Validates a view pair (plus the optional source array `k`, which only
+  /// 1-D stencils with a source term accept) against the prepared geometry
+  /// exactly as run() does — unconditionally, even on handles prepared with
+  /// validation off. Throws std::invalid_argument on mismatch. The serving
+  /// front end calls this at submit time so a bad request is rejected on
+  /// the client thread instead of poisoning a batch.
+  template <int D>
+  void validate_views(FieldView<D> a, FieldView<D> b,
+                      const ViewArg<D>* k = nullptr) const;
 
  private:
   friend class Engine;
@@ -192,17 +180,10 @@ class PreparedStencil {
   explicit PreparedStencil(std::shared_ptr<const State> st)
       : st_(std::move(st)) {}
 
-  // The one body behind each family of per-dimension overloads above.
+  // The one body behind both run() forms.
   template <int D>
   void run_views(const FieldView<D>& a, const FieldView<D>& b,
                  const FieldView<D>* k, int tsteps) const;
-  template <int D>
-  void check_views(const FieldView<D>& a, const FieldView<D>& b,
-                   const FieldView<D>* k) const;
-  template <int D>
-  void run_batch(const std::vector<TileBatch<D>>& items, int nsteps) const;
-  template <int D>
-  void touch(const FieldView<D>& v) const;
 
   std::shared_ptr<const State> st_;
 };
@@ -306,20 +287,14 @@ class Engine {
 /// through layout-aware accessors). No-op when the preferred layout is
 /// Natural or `v` is already tagged with it; throws std::invalid_argument
 /// for views tagged with any other layout.
-FieldView1D to_resident_layout(const PreparedStencil& ps, FieldView1D v);
-/// 2-D overload of to_resident_layout().
-FieldView2D to_resident_layout(const PreparedStencil& ps, FieldView2D v);
-/// 3-D overload of to_resident_layout().
-FieldView3D to_resident_layout(const PreparedStencil& ps, FieldView3D v);
+template <int D>
+FieldView<D> to_resident_layout(const PreparedStencil& ps, FieldView<D> v);
 
 /// Inverse of to_resident_layout(): transforms a resident-tagged view's
 /// buffer back to natural order (the transpose layout is an involution) and
 /// returns it re-tagged Layout::Natural. No-op on natural-tagged views.
-FieldView1D to_natural_layout(const PreparedStencil& ps, FieldView1D v);
-/// 2-D overload of to_natural_layout().
-FieldView2D to_natural_layout(const PreparedStencil& ps, FieldView2D v);
-/// 3-D overload of to_natural_layout().
-FieldView3D to_natural_layout(const PreparedStencil& ps, FieldView3D v);
+template <int D>
+FieldView<D> to_natural_layout(const PreparedStencil& ps, FieldView<D> v);
 
 /// Useful FLOPs per time step for a stencil at the given size.
 double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz);

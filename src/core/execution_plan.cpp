@@ -11,11 +11,7 @@ namespace sf {
 namespace {
 
 int pattern_radius(const StencilSpec& s) {
-  switch (s.dims) {
-    case 1: return s.p1.radius();
-    case 2: return s.p2.radius();
-    default: return s.p3.radius();
-  }
+  return s.visit([](const auto& p) { return p.radius(); });
 }
 
 int source_radius(const StencilSpec& s) {
@@ -25,8 +21,8 @@ int source_radius(const StencilSpec& s) {
 // The dimension the wedge schedule tessellates: x in 1-D, y in 2-D, z in
 // 3-D (always the outermost loop of the untiled executors).
 long tiled_extent(const PlanRequest& req) {
-  const Extents& e = req.ext;
-  return req.spec.dims == 1 ? e.nx : req.spec.dims == 2 ? e.ny : e.nz;
+  const long ext[] = {req.ext.nx, req.ext.ny, req.ext.nz};
+  return req.spec.visit([&](const auto& p) { return ext[p.dims - 1]; });
 }
 
 bool engages(const PlanRequest& req) {
@@ -38,12 +34,10 @@ bool engages(const PlanRequest& req) {
 // the engine impls pass make_plan (so plan() reports the exact geometry
 // run_tile_plan will reconstruct).
 long slice_bytes(const PlanRequest& req) {
-  switch (req.spec.dims) {
-    case 1: return sizeof(double);
-    case 2: return static_cast<long>(sizeof(double)) * req.ext.nx;
-    default:
-      return static_cast<long>(sizeof(double)) * req.ext.nx * req.ext.ny;
-  }
+  const long ext[] = {req.ext.nx, req.ext.ny, req.ext.nz};
+  long bytes = sizeof(double);
+  for (int ax = 0; ax + 1 < req.spec.dims; ++ax) bytes *= ext[ax];
+  return bytes;
 }
 
 // negotiate_wedge() over `o`'s explicit tile/time_block/threads (the

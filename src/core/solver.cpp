@@ -13,54 +13,19 @@ namespace sf {
 
 namespace {
 
-/// The one dimensionality switch of the whole facade: every other piece of
-/// the run path is written once, generically, against D.
-template <class F>
-decltype(auto) dispatch_dims(int dims, F&& f) {
-  switch (dims) {
-    case 1: return f(std::integral_constant<int, 1>{});
-    case 2: return f(std::integral_constant<int, 2>{});
-    case 3: return f(std::integral_constant<int, 3>{});
-    default: throw std::logic_error("bad dims");
-  }
-}
-
+// Emplaces a grid of the resolved extents (validated to fit int by
+// Engine::prepare) into `slot`.
 template <int D>
-auto make_grid(long nx, long ny, long nz, int halo, bool zero_init = true) {
+void allocate(std::optional<Grid<D>>& slot, const Extents& e, int halo,
+              bool zero_init = true) {
+  const int nx = static_cast<int>(e.nx), ny = static_cast<int>(e.ny),
+            nz = static_cast<int>(e.nz);
   if constexpr (D == 1)
-    return Grid1D(static_cast<int>(nx), halo, zero_init);
+    slot.emplace(nx, halo, zero_init);
   else if constexpr (D == 2)
-    return Grid2D(static_cast<int>(ny), static_cast<int>(nx), halo,
-                  zero_init);
+    slot.emplace(ny, nx, halo, zero_init);
   else
-    return Grid3D(static_cast<int>(nz), static_cast<int>(ny),
-                  static_cast<int>(nx), halo, zero_init);
-}
-
-// Per-dimension slots of the Workspace.
-template <int D>
-auto& ws_a(Workspace& w) {
-  if constexpr (D == 1) return w.a1;
-  else if constexpr (D == 2) return w.a2;
-  else return w.a3;
-}
-template <int D>
-auto& ws_b(Workspace& w) {
-  if constexpr (D == 1) return w.b1;
-  else if constexpr (D == 2) return w.b2;
-  else return w.b3;
-}
-template <int D>
-auto& ws_ra(Workspace& w) {
-  if constexpr (D == 1) return w.ra1;
-  else if constexpr (D == 2) return w.ra2;
-  else return w.ra3;
-}
-template <int D>
-auto& ws_rb(Workspace& w) {
-  if constexpr (D == 1) return w.rb1;
-  else if constexpr (D == 2) return w.rb2;
-  else return w.rb3;
+    slot.emplace(nz, ny, nx, halo, zero_init);
 }
 
 }  // namespace
@@ -178,10 +143,8 @@ RunResult Solver::run_impl(bool verify) {
   const int tsteps = cfg_.opts.tsteps;
   const int halo = prepared_.halo();
 
-  return dispatch_dims(s.dims, [&](auto dc) -> RunResult {
-    constexpr int D = std::decay_t<decltype(dc)>::value;
-    const auto& p = s.pattern<D>();
-
+  return s.visit([&](const auto& p) -> RunResult {
+    constexpr int D = std::decay_t<decltype(p)>::dims;
     if (ws_.dims != D || ws_.halo != halo || ws_.nx != ext.nx ||
         ws_.ny != ext.ny || ws_.nz != ext.nz ||
         ws_.affinity != prepared_.affinity()) {
@@ -192,9 +155,11 @@ RunResult Solver::run_impl(bool verify) {
       ws_.ny = ext.ny;
       ws_.nz = ext.nz;
       ws_.affinity = prepared_.affinity();
+      ws_.active.emplace<Workspace::Grids<D>>();
     }
-    auto& A = ws_a<D>(ws_);
-    auto& B = ws_b<D>(ws_);
+    auto& g = std::get<Workspace::Grids<D>>(ws_.active);
+    auto& A = g.a;
+    auto& B = g.b;
     if (!A) {
       // Pinned runs allocate the ping-pong pair untouched and let the
       // pool's placement map write each page first: worker w zeroes the
@@ -202,32 +167,28 @@ RunResult Solver::run_impl(bool verify) {
       // (the serial fill below only overwrites already-placed pages).
       const bool ft = prepared_.pool() != nullptr &&
                       prepared_.affinity() != Affinity::None;
-      A.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo, !ft));
-      B.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo, !ft));
+      allocate(A, ext, halo, !ft);
+      allocate(B, ext, halo, !ft);
       if (ft) {
-        prepared_.first_touch(A->view());
-        prepared_.first_touch(B->view());
+        prepared_.first_touch<D>(*A);
+        prepared_.first_touch<D>(*B);
       }
     }
     fill_random(*A, cfg_.seed);
-    [[maybe_unused]] const Pattern1D* src = nullptr;
-    [[maybe_unused]] FieldView<D> kview;
+    const bool has_source = D == 1 && s.has_source;
+    FieldView<D> kview;
     const FieldView<D>* kk = nullptr;
-    if constexpr (D == 1) {
-      if (s.has_source) {
-        if (!ws_.k1)
-          ws_.k1.emplace(make_grid<1>(ext.nx, ext.ny, ext.nz, halo));
-        fill_random(*ws_.k1, cfg_.seed + 1);
-        src = &s.src1;
-        kview = ws_.k1->view();
-        kk = &kview;
-      }
+    if (has_source) {
+      if (!g.k) allocate(g.k, ext, halo);
+      fill_random(*g.k, cfg_.seed + 1);
+      kview = *g.k;
+      kk = &kview;
     }
 
     if (cfg_.tune || tune_forced()) {
       // Probes run on the seeded fill and clobber it: re-seed when tuned.
       PreparedStencil tuned =
-          Engine::instance().tune<D>(prepared_, A->view(), B->view(), kk);
+          Engine::instance().tune<D>(prepared_, *A, *B, kk);
       if (&tuned.plan() != &prepared_.plan()) fill_random(*A, cfg_.seed);
       prepared_ = std::move(tuned);
     }
@@ -238,37 +199,29 @@ RunResult Solver::run_impl(bool verify) {
     // once here, run resident, and transform back after timing. The same
     // transforms and kernel steps happen either way, so results are
     // bitwise identical to the default path.
-    auto av = A->view();
-    auto bv = B->view();
+    FieldView<D> av = *A;
+    FieldView<D> bv = *B;
     const bool resident = prepared_.resident_layout() != Layout::Natural;
     if (resident) {
       av = to_resident_layout(prepared_, av);
       bv = to_resident_layout(prepared_, bv);
-      if constexpr (D == 1) {
-        if (kk != nullptr) kview = to_resident_layout(prepared_, kview);
-      }
+      if (has_source) kview = to_resident_layout(prepared_, kview);
     }
 
     RunResult res;
     res.tsteps = tsteps;
     res.points = ext.nx * (D >= 2 ? ext.ny : 1) * (D >= 3 ? ext.nz : 1);
     Timer timer;
-    if constexpr (D == 1) {
-      if (kk != nullptr)
-        prepared_.run(av, bv, kview, tsteps);
-      else
-        prepared_.run(av, bv, tsteps);
-    } else {
+    if constexpr (D == 1)
+      prepared_.run(av, bv, kview, tsteps);  // an empty kview means no source
+    else
       prepared_.run(av, bv, tsteps);
-    }
     do_not_optimize(A->data());
     res.seconds = timer.seconds();
     if (resident) {
       to_natural_layout(prepared_, av);
       to_natural_layout(prepared_, bv);
-      if constexpr (D == 1) {
-        if (kk != nullptr) kview = to_natural_layout(prepared_, kview);
-      }
+      if (has_source) kview = to_natural_layout(prepared_, kview);
     }
     res.gflops = flops_per_step(s, ext.nx, ext.ny, ext.nz) *
                  static_cast<double>(tsteps) / res.seconds / 1e9;
@@ -276,16 +229,17 @@ RunResult Solver::run_impl(bool verify) {
     if (verify) {
       // Untimed reference on identical inputs; the timed run's own output
       // is what gets compared (the kernel executes exactly once).
-      auto& RA = ws_ra<D>(ws_);
-      auto& RB = ws_rb<D>(ws_);
+      auto& RA = g.ra;
+      auto& RB = g.rb;
       if (!RA) {
-        RA.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo));
-        RB.emplace(make_grid<D>(ext.nx, ext.ny, ext.nz, halo));
+        allocate(RA, ext, halo);
+        allocate(RB, ext, halo);
       }
       fill_random(*RA, cfg_.seed);
       copy(*RA, *RB);
       if constexpr (D == 1)
-        run_reference(p, *RA, *RB, tsteps, src, kk);
+        run_reference(p, *RA, *RB, tsteps, has_source ? &s.src1 : nullptr,
+                      kk);
       else
         run_reference(p, *RA, *RB, tsteps);
       res.max_error = max_abs_diff(*A, *RA);

@@ -26,12 +26,16 @@
 /// and caches the winner (core/tuner.hpp), so later runs — and later
 /// processes when `SF_TUNE_CACHE` is set — plan for free. Beyond that the
 /// Solver is builder, workspace and verification; callers who own their
-/// buffers use Engine::prepare (and Engine::tune) directly.
+/// buffers use Engine::prepare (and Engine::tune) directly. Nothing in it
+/// is written per dimension: run() is one path over D, entered through
+/// StencilSpec::visit, and the Workspace keeps only the active
+/// dimensionality's grids (`workspace().grids<D>()`).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "common/cpu.hpp"
 #include "core/engine.hpp"
@@ -42,13 +46,12 @@
 
 namespace sf {
 
-/// The grids a Solver runs on. One (a, b) ping-pong pair of the problem's
-/// dimensionality is allocated with the halo negotiated from the selected
-/// kernel's capability; `k` is the 1-D time-invariant source array (APOP),
-/// and (ra, rb) are the naive-reference pair allocated only for verified
-/// runs. Allocations persist across run() calls and are re-made only when
-/// the shape or halo changes. After run(), `a*` of the active
-/// dimensionality holds the final state.
+/// The grids a Solver runs on, allocated for the problem's dimensionality
+/// with the halo negotiated from the selected kernel's capability: the
+/// (a, b) ping-pong pair, the 1-D time-invariant source array `k` (APOP),
+/// and the naive-reference pair (ra, rb), allocated only for verified runs.
+/// Allocations persist across run() calls and are re-made only when the
+/// shape or halo changes. After run(), `grids<D>().a` holds the final state.
 struct Workspace {
   int dims = 0;           ///< Active dimensionality (0 = nothing allocated).
   int halo = 0;           ///< Halo the grids were allocated with.
@@ -59,19 +62,24 @@ struct Workspace {
   ///< Placement policy the grids were first-touched under; changing the
   ///< Solver's affinity reallocates so the pages are placed afresh.
 
-  std::optional<Grid1D> a1;   ///< 1-D result grid.
-  std::optional<Grid1D> b1;   ///< 1-D scratch grid.
-  std::optional<Grid1D> k1;   ///< 1-D time-invariant source array (APOP).
-  std::optional<Grid1D> ra1;  ///< 1-D reference grid (verified runs).
-  std::optional<Grid1D> rb1;  ///< 1-D reference scratch.
-  std::optional<Grid2D> a2;   ///< 2-D result grid.
-  std::optional<Grid2D> b2;   ///< 2-D scratch grid.
-  std::optional<Grid2D> ra2;  ///< 2-D reference grid.
-  std::optional<Grid2D> rb2;  ///< 2-D reference scratch.
-  std::optional<Grid3D> a3;   ///< 3-D result grid.
-  std::optional<Grid3D> b3;   ///< 3-D scratch grid.
-  std::optional<Grid3D> ra3;  ///< 3-D reference grid.
-  std::optional<Grid3D> rb3;  ///< 3-D reference scratch.
+  /// The grids of one dimensionality.
+  template <int D>
+  struct Grids {
+    std::optional<Grid<D>> a;   ///< Result grid.
+    std::optional<Grid<D>> b;   ///< Scratch grid.
+    std::optional<Grid<D>> k;   ///< Time-invariant source array (1-D APOP).
+    std::optional<Grid<D>> ra;  ///< Reference grid (verified runs).
+    std::optional<Grid<D>> rb;  ///< Reference scratch.
+  };
+  /// The active dimensionality's grids (monostate before the first run).
+  std::variant<std::monostate, Grids<1>, Grids<2>, Grids<3>> active;
+
+  /// The grids of dimensionality D; throws std::bad_variant_access unless D
+  /// is the active one.
+  template <int D>
+  const Grids<D>& grids() const {
+    return std::get<Grids<D>>(active);
+  }
 };
 
 /// Timing/throughput/accuracy results of one Solver run.

@@ -272,7 +272,7 @@ PreparedStencil Engine::tune(const PreparedStencil& ps, FieldView<D> a,
   const Pattern1D* src = spec.has_source ? &spec.src1 : nullptr;
   const Extents ext{ps.nx(), ps.ny(), ps.nz()};
   const int tsteps = ps.tsteps();
-  const long n_tiled = D == 1 ? ext.nx : D == 2 ? ext.ny : ext.nz;
+  const long n_tiled = a.outer_extent();  // validated: the prepared extent
   const int m = std::max(1, kernel.fold_depth);
   const int slope = kernel.wedge_slope(p.radius());
   // One uniform probe horizon for every candidate: fixed per-call

@@ -6,8 +6,8 @@
 /// registry kernels, the split-tiling engine, the naive reference — runs on
 /// views, so a PreparedStencil (core/engine.hpp) can execute directly on
 /// user buffers without the library ever allocating or copying field data.
-/// Grid{1,2,3}D (grid/grid.hpp) remain the library's allocators and convert
-/// to views implicitly.
+/// Grid<D> (grid/grid.hpp) is the library's allocator: it derives from
+/// FieldView<D>, so a Grid *is* a view of its own storage.
 ///
 /// One class template serves every dimensionality: FieldView<D> stores its
 /// extents and strides per axis (axis 0 = x, the contiguous one), and
@@ -30,6 +30,7 @@
 ///    Dirichlet boundary values that executors read but never write.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 namespace sf {
@@ -176,9 +177,21 @@ class FieldView {
     v.layout_w_ = layout_width;
     return v;
   }
-  /// The view itself — with Grid::view() this lets helpers accept a view
-  /// or a Grid alike.
+  /// The view itself (sliced out of a Grid), so helpers accept a view or a
+  /// Grid alike.
   FieldView view() const { return *this; }
+
+ protected:
+  /// Any dimensionality at once, extents and strides x first — for owners
+  /// that derive their geometry per axis (Grid).
+  FieldView(double* interior, const std::array<int, D>& n,
+            const std::array<std::ptrdiff_t, D>& stride, int halo)
+      : p_(interior), halo_(halo) {
+    for (int ax = 0; ax < D; ++ax) {
+      n_[ax] = n[ax];
+      st_[ax] = stride[ax];
+    }
+  }
 
  private:
   double* p_ = nullptr;

@@ -12,144 +12,93 @@
 //    *every* row/plane is 64-byte aligned too.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <climits>
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <stdexcept>
 
 #include "common/aligned_buffer.hpp"
 #include "grid/field_view.hpp"
 
 namespace sf {
 
-class Grid1D {
+namespace detail {
+/// Base-from-member: a Grid's storage, listed as its first base so the
+/// buffer exists before the FieldView base that points into it.
+struct GridStorage {
+  AlignedBuffer buf;  ///< The grid's elements, halo and padding included.
+};
+}  // namespace detail
+
+/// An owning D-dimensional halo field that *is* its own FieldView<D>: every
+/// accessor (data, row, at, nx/ny/nz, stride, plane_stride, halo, view) is
+/// the view's, so a Grid goes wherever a view is expected. Move-only; a
+/// moved grid keeps its buffer, so views taken from it stay valid. Like
+/// every view it has shallow-const semantics (grid/field_view.hpp).
+template <int D>
+class Grid : private detail::GridStorage, public FieldView<D> {
  public:
-  /// `zero_init = false` defers the page-placing first write to the caller
-  /// (see AlignedBuffer; used with PreparedStencil::first_touch so a
-  /// pinned worker pool places each worker's tiles on its NUMA node).
-  Grid1D(int n, int halo, bool zero_init = true)
-      : n_(n), halo_(halo), off_(static_cast<int>(round_up(halo, 8))),
-        buf_(off_ + round_up(n + halo, 8), zero_init) {}
-
-  int n() const { return n_; }
-  int halo() const { return halo_; }
-
-  /// Pointer to interior element 0; valid indices are [-halo, n+halo).
-  double* data() { return buf_.data() + off_; }
-  const double* data() const { return buf_.data() + off_; }
-
-  double& at(int i) { return data()[i]; }
-  double at(int i) const { return data()[i]; }
-
-  /// Zero-copy view of this grid's storage (Layout::Natural). Views have
-  /// shallow-const semantics (see grid/field_view.hpp), so the const
-  /// overload still yields a writable view — it exists so borrowed grids
-  /// can be passed wherever executors expect views.
-  FieldView1D view() { return FieldView1D(data(), n_, halo_); }
-  FieldView1D view() const {
-    return FieldView1D(const_cast<Grid1D*>(this)->data(), n_, halo_);
+  /// 1-D: `n` interior elements. `zero_init = false` defers the
+  /// page-placing first write to the caller (see AlignedBuffer; used with
+  /// PreparedStencil::first_touch so a pinned worker pool places each
+  /// worker's tiles on its NUMA node).
+  Grid(int n, int halo, bool zero_init = true)
+      : Grid(geometry({n}, halo), zero_init) {
+    static_assert(D == 1, "this constructor builds a 1-D grid");
   }
-  operator FieldView1D() { return view(); }
-  operator FieldView1D() const { return view(); }
+  /// 2-D: ny x nx interior; `zero_init` as in the 1-D constructor.
+  Grid(int ny, int nx, int halo, bool zero_init = true)
+      : Grid(geometry({nx, ny}, halo), zero_init) {
+    static_assert(D == 2, "this constructor builds a 2-D grid");
+  }
+  /// 3-D: nz x ny x nx interior; `zero_init` as in the 1-D constructor.
+  Grid(int nz, int ny, int nx, int halo, bool zero_init = true)
+      : Grid(geometry({nx, ny, nz}, halo), zero_init) {
+    static_assert(D == 3, "this constructor builds a 3-D grid");
+  }
 
  private:
-  int n_, halo_, off_;
-  AlignedBuffer buf_;
+  // One allocation's shape: interior extents and element strides per axis
+  // (x first), the offset of interior element 0, and the element count.
+  struct Geometry {
+    std::array<int, D> n;
+    std::array<std::ptrdiff_t, D> stride;
+    int halo;
+    std::size_t origin;
+    std::size_t elements;
+  };
+
+  // Each row is padded so interior x = 0 sits round_up(halo, 8) into it and
+  // its length is a multiple of 8 doubles; every further axis stacks
+  // n + 2*halo copies of the one below. Sizes are computed in size_t and
+  // refused (std::length_error, before anything is allocated) when the row
+  // stride outgrows the view's int stride or the buffer its address range.
+  static Geometry geometry(const std::array<int, D>& n, int halo) {
+    if (halo < 0 || *std::min_element(n.begin(), n.end()) < 0)
+      throw std::invalid_argument("Grid: extents and halo must be >= 0");
+    const std::size_t h = static_cast<std::size_t>(halo), xoff = round_up(h, 8);
+    Geometry g{n, {1}, halo, xoff, round_up(xoff + n[0] + h, 8)};
+    if (D > 1 && g.elements > INT_MAX)
+      throw std::length_error("Grid: row stride exceeds INT_MAX doubles");
+    for (int ax = 1; ax < D; ++ax) {
+      g.stride[ax] = static_cast<std::ptrdiff_t>(g.elements);
+      g.origin += h * g.elements;
+      if (__builtin_mul_overflow(g.elements, n[ax] + 2 * h, &g.elements) ||
+          g.elements > PTRDIFF_MAX / sizeof(double))
+        throw std::length_error("Grid: buffer size overflows");
+    }
+    return g;
+  }
+
+  Grid(const Geometry& g, bool zero_init)
+      : detail::GridStorage{AlignedBuffer(g.elements, zero_init)},
+        FieldView<D>(buf.data() + g.origin, g.n, g.stride, g.halo) {}
 };
 
-class Grid2D {
- public:
-  /// `zero_init` as in Grid1D.
-  Grid2D(int ny, int nx, int halo, bool zero_init = true)
-      : ny_(ny), nx_(nx), halo_(halo),
-        xoff_(static_cast<int>(round_up(halo, 8))),
-        stride_(static_cast<int>(round_up(xoff_ + nx + halo, 8))),
-        buf_(static_cast<std::size_t>(stride_) * (ny + 2 * halo),
-             zero_init) {}
-
-  int ny() const { return ny_; }
-  int nx() const { return nx_; }
-  int halo() const { return halo_; }
-  int stride() const { return stride_; }
-
-  /// Pointer to interior element (0,0); valid (y,x) with y in [-halo,ny+halo)
-  /// and x in [-halo, nx+halo).
-  double* data() { return buf_.data() + static_cast<std::size_t>(halo_) * stride_ + xoff_; }
-  const double* data() const {
-    return buf_.data() + static_cast<std::size_t>(halo_) * stride_ + xoff_;
-  }
-
-  double* row(int y) { return data() + static_cast<std::ptrdiff_t>(y) * stride_; }
-  const double* row(int y) const {
-    return data() + static_cast<std::ptrdiff_t>(y) * stride_;
-  }
-
-  double& at(int y, int x) { return row(y)[x]; }
-  double at(int y, int x) const { return row(y)[x]; }
-
-  /// Zero-copy view of this grid's storage; see Grid1D::view().
-  FieldView2D view() { return FieldView2D(data(), ny_, nx_, stride_, halo_); }
-  FieldView2D view() const {
-    return FieldView2D(const_cast<Grid2D*>(this)->data(), ny_, nx_, stride_,
-                       halo_);
-  }
-  operator FieldView2D() { return view(); }
-  operator FieldView2D() const { return view(); }
-
- private:
-  int ny_, nx_, halo_, xoff_, stride_;
-  AlignedBuffer buf_;
-};
-
-class Grid3D {
- public:
-  /// `zero_init` as in Grid1D.
-  Grid3D(int nz, int ny, int nx, int halo, bool zero_init = true)
-      : nz_(nz), ny_(ny), nx_(nx), halo_(halo),
-        xoff_(static_cast<int>(round_up(halo, 8))),
-        stride_(static_cast<int>(round_up(xoff_ + nx + halo, 8))),
-        plane_(static_cast<std::size_t>(stride_) * (ny + 2 * halo)),
-        buf_(plane_ * (nz + 2 * halo), zero_init) {}
-
-  int nz() const { return nz_; }
-  int ny() const { return ny_; }
-  int nx() const { return nx_; }
-  int halo() const { return halo_; }
-  int stride() const { return stride_; }
-  std::size_t plane_stride() const { return plane_; }
-
-  double* data() {
-    return buf_.data() + static_cast<std::size_t>(halo_) * plane_ +
-           static_cast<std::size_t>(halo_) * stride_ + xoff_;
-  }
-  const double* data() const {
-    return const_cast<Grid3D*>(this)->data();
-  }
-
-  double* row(int z, int y) {
-    return data() + static_cast<std::ptrdiff_t>(z) * static_cast<std::ptrdiff_t>(plane_) +
-           static_cast<std::ptrdiff_t>(y) * stride_;
-  }
-  const double* row(int z, int y) const {
-    return const_cast<Grid3D*>(this)->row(z, y);
-  }
-
-  double& at(int z, int y, int x) { return row(z, y)[x]; }
-  double at(int z, int y, int x) const { return row(z, y)[x]; }
-
-  /// Zero-copy view of this grid's storage; see Grid1D::view().
-  FieldView3D view() {
-    return FieldView3D(data(), nz_, ny_, nx_, stride_, plane_, halo_);
-  }
-  FieldView3D view() const {
-    return FieldView3D(const_cast<Grid3D*>(this)->data(), nz_, ny_, nx_,
-                       stride_, plane_, halo_);
-  }
-  operator FieldView3D() { return view(); }
-  operator FieldView3D() const { return view(); }
-
- private:
-  int nz_, ny_, nx_, halo_, xoff_, stride_;
-  std::size_t plane_;
-  AlignedBuffer buf_;
-};
+using Grid1D = Grid<1>;  ///< 1-D grid: n interior elements.
+using Grid2D = Grid<2>;  ///< 2-D grid: ny x nx interior.
+using Grid3D = Grid<3>;  ///< 3-D grid: nz x ny x nx interior.
 
 }  // namespace sf

@@ -530,11 +530,14 @@ Request* make_request(const std::string& tenant, const PreparedStencil& ps,
 
 }  // namespace
 
+template <int D>
 std::future<ServeResult> Server::submit(const std::string& tenant,
                                         const PreparedStencil& ps,
-                                        FieldView1D a, FieldView1D b,
+                                        FieldView<D> a, FieldView<D> b,
                                         int nsteps) {
-  return submit(tenant, ps, a, b, FieldView1D{}, nsteps);
+  std::string why;
+  Request* r = make_request<D>(tenant, ps, a, b, nullptr, nsteps, &why);
+  return impl_->admit_or_reject(r, why);
 }
 
 std::future<ServeResult> Server::submit(const std::string& tenant,
@@ -547,23 +550,14 @@ std::future<ServeResult> Server::submit(const std::string& tenant,
   return impl_->admit_or_reject(r, why);
 }
 
-std::future<ServeResult> Server::submit(const std::string& tenant,
-                                        const PreparedStencil& ps,
-                                        FieldView2D a, FieldView2D b,
-                                        int nsteps) {
-  std::string why;
-  Request* r = make_request<2>(tenant, ps, a, b, nullptr, nsteps, &why);
-  return impl_->admit_or_reject(r, why);
-}
-
-std::future<ServeResult> Server::submit(const std::string& tenant,
-                                        const PreparedStencil& ps,
-                                        FieldView3D a, FieldView3D b,
-                                        int nsteps) {
-  std::string why;
-  Request* r = make_request<3>(tenant, ps, a, b, nullptr, nsteps, &why);
-  return impl_->admit_or_reject(r, why);
-}
+#define SF_SUBMIT(D)                                                  \
+  template std::future<ServeResult> Server::submit<D>(                \
+      const std::string&, const PreparedStencil&, FieldView<D>,       \
+      FieldView<D>, int);
+SF_SUBMIT(1)
+SF_SUBMIT(2)
+SF_SUBMIT(3)
+#undef SF_SUBMIT
 
 void Server::drain() {
   UniqueLock lock(impl_->done_mu);

@@ -129,27 +129,20 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Submits a 1-D source-free advance of `nsteps` steps on caller-owned
-  /// views (semantics of PreparedStencil::advance(); result lands in `a`).
+  /// Submits a source-free advance of `nsteps` steps on caller-owned views
+  /// (semantics of PreparedStencil::advance(); result lands in `a`).
   /// `tenant` names the budget bucket the request is accounted against.
   /// The returned future is satisfied when the request completes — or
   /// immediately with ServeResult::rejected set when admission refuses it.
   /// The caller keeps `a`/`b` alive and untouched until then.
+  template <int D>
   std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView1D a,
-                                  FieldView1D b, int nsteps);
+                                  const PreparedStencil& ps, FieldView<D> a,
+                                  FieldView<D> b, int nsteps);
   /// 1-D submit with the APOP time-invariant source array `k`.
   std::future<ServeResult> submit(const std::string& tenant,
                                   const PreparedStencil& ps, FieldView1D a,
                                   FieldView1D b, FieldView1D k, int nsteps);
-  /// 2-D submit; see the 1-D overload.
-  std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView2D a,
-                                  FieldView2D b, int nsteps);
-  /// 3-D submit; see the 1-D overload.
-  std::future<ServeResult> submit(const std::string& tenant,
-                                  const PreparedStencil& ps, FieldView3D a,
-                                  FieldView3D b, int nsteps);
 
   /// Blocks until every request accepted so far has completed (the queue is
   /// empty and nothing is executing). New submits during a drain() are

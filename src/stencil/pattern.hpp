@@ -18,6 +18,7 @@ namespace sf {
 
 template <int D>
 struct Pattern {
+  static constexpr int dims = D;  ///< Dimensionality of the offsets.
   using Offset = std::array<int, D>;
 
   struct Tap {

@@ -205,12 +205,7 @@ std::vector<StencilSpec> make_presets() {
 }  // namespace
 
 int StencilSpec::points() const {
-  switch (dims) {
-    case 1: return static_cast<int>(p1.size());
-    case 2: return static_cast<int>(p2.size());
-    case 3: return static_cast<int>(p3.size());
-    default: return 0;
-  }
+  return visit([](const auto& p) { return static_cast<int>(p.size()); });
 }
 
 const std::vector<StencilSpec>& all_presets() {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,21 @@ struct StencilSpec {
     if constexpr (D == 1) return p1;
     else if constexpr (D == 2) return p2;
     else return p3;
+  }
+
+  /// The one dimensionality switch: calls `f(pattern<D>())` for the runtime
+  /// `dims` and returns its result (the callee reads D back as the
+  /// argument's Pattern<D>::dims). Throws std::invalid_argument unless
+  /// dims is 1, 2 or 3.
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    switch (dims) {
+      case 1: return f(p1);
+      case 2: return f(p2);
+      case 3: return f(p3);
+    }
+    throw std::invalid_argument("StencilSpec '" + name + "': dims " +
+                                std::to_string(dims) + " is not 1, 2 or 3");
   }
 };
 

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -51,14 +53,14 @@ double prepared_vs_solver(Solver s, Tiling tiling) {
     } else {
       ps.run(a.view(), b.view(), s.tsteps());
     }
-    diff = max_abs_diff(a, *ws.a1);
+    diff = max_abs_diff(a, *ws.grids<1>().a);
   } else if (s.spec().dims == 2) {
     Grid2D a(static_cast<int>(s.ny()), static_cast<int>(s.nx()), h);
     Grid2D b(static_cast<int>(s.ny()), static_cast<int>(s.nx()), h);
     fill_random(a, kSeed);
     copy(a, b);
     ps.run(a.view(), b.view(), s.tsteps());
-    diff = max_abs_diff(a, *ws.a2);
+    diff = max_abs_diff(a, *ws.grids<2>().a);
   } else {
     Grid3D a(static_cast<int>(s.nz()), static_cast<int>(s.ny()),
              static_cast<int>(s.nx()), h);
@@ -67,7 +69,7 @@ double prepared_vs_solver(Solver s, Tiling tiling) {
     fill_random(a, kSeed);
     copy(a, b);
     ps.run(a.view(), b.view(), s.tsteps());
-    diff = max_abs_diff(a, *ws.a3);
+    diff = max_abs_diff(a, *ws.grids<3>().a);
   }
   return diff;
 }
@@ -280,6 +282,83 @@ TEST(Engine, PrepareRejectsExtentsNoViewCanHave) {
                std::invalid_argument);
   EXPECT_NO_THROW(eng.plan_key(preset(Preset::Heat1D),
                                Extents{std::numeric_limits<int>::max()}));
+  // In-range extents whose product overflows the plan's byte counts; with
+  // levels = -1 the working set is sized before any other planning step.
+  ExecOptions auto_levels;
+  auto_levels.levels = -1;
+  const long imax = std::numeric_limits<int>::max();
+  for (const auto& [p, big] :
+       {std::pair{Preset::Heat2D, Extents{imax, imax}},
+        std::pair{Preset::Heat3D, Extents{imax, imax, imax}}}) {
+    EXPECT_THROW(eng.prepare(p, big, auto_levels), std::invalid_argument);
+    EXPECT_THROW(eng.plan_key(preset(p), big, auto_levels),
+                 std::invalid_argument);
+  }
+}
+
+// A small grid of dimensionality D with halo `h` (extents unlike per axis).
+template <int D>
+Grid<D> small_grid(int h) {
+  if constexpr (D == 1)
+    return Grid<1>(300, h);
+  else if constexpr (D == 2)
+    return Grid<2>(40, 36, h);
+  else
+    return Grid<3>(12, 10, 20, h);
+}
+
+// A Grid *is* its view, so a moved grid must carry its view along: the
+// buffer changes owner, never address. Each way of moving a grid into
+// place keeps data(), passes validation, and runs bitwise equal to a grid
+// that never moved.
+template <int D>
+void check_moved_grids(Preset p) {
+  SCOPED_TRACE(preset(p).name);
+  const Extents ext =
+      D == 1 ? Extents{300} : D == 2 ? Extents{36, 40} : Extents{20, 10, 12};
+  const PreparedStencil ps = Engine::instance().prepare(p, ext);
+  const int h = ps.halo();
+  Grid<D> ref = small_grid<D>(h), ref_b = small_grid<D>(h);
+  fill_random(ref, kSeed);
+  copy(ref, ref_b);
+  ps.run(ref, ref_b, 6);
+
+  auto check = [&](const Grid<D>& a, const double* before) {
+    EXPECT_EQ(a.data(), before);
+    Grid<D> b = small_grid<D>(h);
+    EXPECT_NO_THROW(ps.validate_views(a, b));
+    fill_random(a, kSeed);
+    copy(a, b);
+    ps.run(a, b, 6);
+    EXPECT_EQ(max_abs_diff(a, ref), 0.0);
+  };
+  {
+    Grid<D> src = small_grid<D>(h);
+    const double* before = src.data();
+    Grid<D> moved(std::move(src));
+    check(moved, before);
+  }
+  {
+    Grid<D> src = small_grid<D>(h);
+    const double* before = src.data();
+    Grid<D> target = small_grid<D>(h);
+    target = std::move(src);
+    check(target, before);
+  }
+  {
+    std::optional<Grid<D>> slot;
+    slot.emplace(small_grid<D>(h));  // the old grid the next emplace ends
+    Grid<D> fresh = small_grid<D>(h);
+    const double* before = fresh.data();
+    slot.emplace(std::move(fresh));
+    check(*slot, before);
+  }
+}
+
+TEST(Grid, MovedGridsKeepTheirViews) {
+  check_moved_grids<1>(Preset::Heat1D);
+  check_moved_grids<2>(Preset::Heat2D);
+  check_moved_grids<3>(Preset::Heat3D);
 }
 
 TEST(Engine, PrepareRejectsOptionsOutOfRange) {
@@ -549,11 +628,11 @@ TEST(Solver, ResidentLayoutOptInIsBitwiseIdentical) {
     const Workspace& wr = res.workspace();
     double diff = 0;
     if (def.spec().dims == 1)
-      diff = max_abs_diff(*wd.a1, *wr.a1);
+      diff = max_abs_diff(*wd.grids<1>().a, *wr.grids<1>().a);
     else if (def.spec().dims == 2)
-      diff = max_abs_diff(*wd.a2, *wr.a2);
+      diff = max_abs_diff(*wd.grids<2>().a, *wr.grids<2>().a);
     else
-      diff = max_abs_diff(*wd.a3, *wr.a3);
+      diff = max_abs_diff(*wd.grids<3>().a, *wr.grids<3>().a);
     EXPECT_EQ(diff, 0.0) << def.spec().name;
   }
 }

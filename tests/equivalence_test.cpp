@@ -109,11 +109,11 @@ std::future<ServeResult> submit(Server& server, const PreparedStencil& ps,
 template <int D>
 FieldView<D> solver_result(const Workspace& ws) {
   if constexpr (D == 1)
-    return ws.a1->view();
+    return ws.grids<1>().a->view();
   else if constexpr (D == 2)
-    return ws.a2->view();
+    return ws.grids<2>().a->view();
   else
-    return ws.a3->view();
+    return ws.grids<3>().a->view();
 }
 
 // Which corners of the tiling space a draw reached.

@@ -23,17 +23,17 @@ namespace {
 
 double result_diff(const Workspace& x, const Workspace& y) {
   switch (x.dims) {
-    case 1: return max_abs_diff(*x.a1, *y.a1);
-    case 2: return max_abs_diff(*x.a2, *y.a2);
-    default: return max_abs_diff(*x.a3, *y.a3);
+    case 1: return max_abs_diff(*x.grids<1>().a, *y.grids<1>().a);
+    case 2: return max_abs_diff(*x.grids<2>().a, *y.grids<2>().a);
+    default: return max_abs_diff(*x.grids<3>().a, *y.grids<3>().a);
   }
 }
 
 double result_scale(const Workspace& x) {
   switch (x.dims) {
-    case 1: return max_abs(*x.a1);
-    case 2: return max_abs(*x.a2);
-    default: return max_abs(*x.a3);
+    case 1: return max_abs(*x.grids<1>().a);
+    case 2: return max_abs(*x.grids<2>().a);
+    default: return max_abs(*x.grids<3>().a);
   }
 }
 
@@ -199,7 +199,7 @@ TEST(ExecutionPlan, PipelinedRunMatchesBarrierHookBitwise) {
   fill_random(a, 42);  // the Solver's default seed
   copy(a, b);
   run_tile_plan(s.spec().p3, a, b, 8, barrier);
-  EXPECT_EQ(max_abs_diff(a, *s.workspace().a3), 0.0);
+  EXPECT_EQ(max_abs_diff(a, *s.workspace().grids<3>().a), 0.0);
 }
 
 TEST(TileTree, FlatPlansEngageOnlyTheTileLevel) {

@@ -359,13 +359,16 @@ TEST(RuntimeEngine, PinnedMatchesUnpinnedBitwiseAllPresets) {
       double diff = 1;
       switch (spec.dims) {
         case 1:
-          diff = max_abs_diff(*none.workspace().a1, *pinned.workspace().a1);
+          diff = max_abs_diff(*none.workspace().grids<1>().a,
+                              *pinned.workspace().grids<1>().a);
           break;
         case 2:
-          diff = max_abs_diff(*none.workspace().a2, *pinned.workspace().a2);
+          diff = max_abs_diff(*none.workspace().grids<2>().a,
+                              *pinned.workspace().grids<2>().a);
           break;
         default:
-          diff = max_abs_diff(*none.workspace().a3, *pinned.workspace().a3);
+          diff = max_abs_diff(*none.workspace().grids<3>().a,
+                              *pinned.workspace().grids<3>().a);
           break;
       }
       EXPECT_EQ(diff, 0.0) << spec.name << " " << affinity_name(aff);

@@ -90,13 +90,14 @@ TEST(Solver, WorkspacePersistsAndRunsAreReproducible) {
   EXPECT_EQ(ws.dims, 2);
   EXPECT_EQ(ws.halo, s.halo());
   EXPECT_EQ(ws.nx, 48);
-  ASSERT_TRUE(ws.a2.has_value());   // result grid
-  ASSERT_TRUE(ws.ra2.has_value());  // reference grid (verified run)
-  const double* grid_before = ws.a2->data();
+  ASSERT_TRUE(ws.grids<2>().a.has_value());   // result grid
+  ASSERT_TRUE(ws.grids<2>().ra.has_value());  // reference grid (verified run)
+  const double* grid_before = ws.grids<2>().a->data();
 
   RunResult r2 = s.run_verified();
   EXPECT_EQ(r1.max_error, r2.max_error);  // same seed, same inputs
-  EXPECT_EQ(s.workspace().a2->data(), grid_before);  // allocation reused
+  EXPECT_EQ(s.workspace().grids<2>().a->data(),
+            grid_before);  // allocation reused
 }
 
 TEST(Solver, WorkspaceReallocatesOnShapeChange) {
@@ -106,8 +107,8 @@ TEST(Solver, WorkspaceReallocatesOnShapeChange) {
   s.size(512);
   s.run();
   EXPECT_EQ(s.workspace().nx, 512);
-  ASSERT_TRUE(s.workspace().a1.has_value());
-  EXPECT_EQ(s.workspace().a1->n(), 512);
+  ASSERT_TRUE(s.workspace().grids<1>().a.has_value());
+  EXPECT_EQ(s.workspace().grids<1>().a->n(), 512);
 }
 
 TEST(Solver, SourceTermWorkspaceAndVerification) {
@@ -115,7 +116,7 @@ TEST(Solver, SourceTermWorkspaceAndVerification) {
   Solver s = Solver::make(Preset::Apop).size(1000).steps(6).method(
       Method::Ours2);
   RunResult r = s.run_verified();
-  EXPECT_TRUE(s.workspace().k1.has_value());
+  EXPECT_TRUE(s.workspace().grids<1>().k.has_value());
   EXPECT_GE(r.max_error, 0.0);
   EXPECT_LE(r.max_error, 1e-11);
 }

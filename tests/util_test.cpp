@@ -9,6 +9,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cpu.hpp"
@@ -37,6 +38,26 @@ TEST(Grid, RowAlignmentEveryRow) {
   Grid3D h(3, 4, 19, 5);
   for (int z = -5; z < 8; ++z)
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(h.row(z, 0)) % kAlignment, 0u);
+}
+
+TEST(Grid, IsItsOwnView) {
+  static_assert(std::is_base_of_v<FieldView2D, Grid2D>);
+  Grid3D g(3, 4, 5, 2);
+  const FieldView3D v = g;
+  EXPECT_EQ(v.data(), g.data());
+  EXPECT_EQ(v.plane_stride(), g.plane_stride());
+  EXPECT_EQ(&v.at(1, 2, 3), &g.at(1, 2, 3));
+}
+
+TEST(Grid, RejectsSizesBeforeAllocating) {
+  // Padded sizes are computed in size_t: a row stride beyond the view's
+  // int stride, or a buffer beyond the address range, throws before any
+  // allocation instead of wrapping around.
+  EXPECT_THROW(Grid2D(1, INT_MAX, 1), std::length_error);
+  EXPECT_THROW(Grid3D(1, 1, INT_MAX, 1), std::length_error);
+  EXPECT_THROW(Grid3D(INT_MAX, INT_MAX, 8, 1), std::length_error);
+  EXPECT_THROW(Grid2D(-1, 8, 1), std::invalid_argument);
+  EXPECT_THROW(Grid1D(8, -1), std::invalid_argument);
 }
 
 TEST(Grid, HaloIndexingRoundTrip) {
