@@ -751,6 +751,11 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
                                 std::to_string(spec.dims) + "-D at " +
                                 isa_name(resolve_isa(opts.isa)));
   st->halo = st->kernel->required_halo(effective_radius(spec));
+  if (spec.dims > 1 && !row_stride_fits(static_cast<std::size_t>(ext.nx),
+                                        static_cast<std::size_t>(st->halo)))
+    bad_request("nx " + std::to_string(ext.nx) + " with halo " +
+                std::to_string(st->halo) +
+                " pads a row beyond INT_MAX doubles (the row stride)");
   // Resident-layout negotiation: the handle records the kernel's engaged
   // layout preference, and a request to accept resident views must match
   // it — a mismatch would mean kernels misinterpreting the caller's bytes.
@@ -765,8 +770,8 @@ PreparedStencil Engine::prepare(const StencilSpec& spec, Extents ext,
   st->plan = plan_execution({st->spec, *st->kernel, ext, st->opts});
 
   // Build or reuse the runtime pool the tiled stages will run on (shared
-  // per (threads, affinity), workers parked between tasks). The 3-D folded
-  // stage's per-worker plane window is first-touched by the wedge
+  // per (threads, affinity), workers parked between tasks). The folded
+  // stage's per-worker window is first-touched by the wedge
   // schedule's prologue on its owner (tiling/split_tiling.cpp), in the slot
   // that already overlaps the first super-step.
   if (st->plan.tiled && st->plan.blocked && st->plan.tile.threads > 1)

@@ -24,6 +24,20 @@
 
 namespace sf {
 
+/// Doubles in one padded grid row of `nx` interior cells with `halo` cells
+/// on each side: interior x = 0 sits round_up(halo, 8) into the row and its
+/// length is a multiple of 8 doubles.
+constexpr std::size_t padded_row(std::size_t nx, std::size_t halo) {
+  return round_up(round_up(halo, 8) + nx + halo, 8);
+}
+
+/// Whether a view above 1-D can hold such rows: its row stride is an int,
+/// so the padded row must not exceed INT_MAX doubles. Grid refuses to
+/// allocate (and Engine::prepare to plan) anything beyond it.
+constexpr bool row_stride_fits(std::size_t nx, std::size_t halo) {
+  return padded_row(nx, halo) <= INT_MAX;
+}
+
 namespace detail {
 /// Base-from-member: a Grid's storage, listed as its first base so the
 /// buffer exists before the FieldView base that points into it.
@@ -70,17 +84,17 @@ class Grid : private detail::GridStorage, public FieldView<D> {
     std::size_t elements;
   };
 
-  // Each row is padded so interior x = 0 sits round_up(halo, 8) into it and
-  // its length is a multiple of 8 doubles; every further axis stacks
+  // Each row is padded (padded_row()); every further axis stacks
   // n + 2*halo copies of the one below. Sizes are computed in size_t and
   // refused (std::length_error, before anything is allocated) when the row
   // stride outgrows the view's int stride or the buffer its address range.
   static Geometry geometry(const std::array<int, D>& n, int halo) {
     if (halo < 0 || *std::min_element(n.begin(), n.end()) < 0)
       throw std::invalid_argument("Grid: extents and halo must be >= 0");
-    const std::size_t h = static_cast<std::size_t>(halo), xoff = round_up(h, 8);
-    Geometry g{n, {1}, halo, xoff, round_up(xoff + n[0] + h, 8)};
-    if (D > 1 && g.elements > INT_MAX)
+    const std::size_t h = static_cast<std::size_t>(halo);
+    const std::size_t nx = static_cast<std::size_t>(n[0]);
+    Geometry g{n, {1}, halo, round_up(h, 8), padded_row(nx, h)};
+    if (D > 1 && !row_stride_fits(nx, h))
       throw std::length_error("Grid: row stride exceeds INT_MAX doubles");
     for (int ax = 1; ax < D; ++ax) {
       g.stride[ax] = static_cast<std::ptrdiff_t>(g.elements);

@@ -269,10 +269,10 @@ Stage<W, D>::Stage(const Pattern<D>& p, Method m, int nx,
       Pattern1D fsrc;  // (I + p) applied to src
       if (src_ != nullptr) fsrc = compose(power_sum(p, 2), *src_);
       folded_ = RowGroups<W>(lam_, src_ != nullptr ? &fsrc : nullptr);
-      if (folded_.radius > W) method_ = Method::Ours;
+      if (folded_.radius > folded_max_radius<W, 1>()) method_ = Method::Ours;
     } else {
       plan_ = plan_folding(p, 2);
-      if (plan_.radius > std::min(W, folded_max_radius<D>()))
+      if (plan_.radius > folded_max_radius<W, D>())
         method_ = Method::Naive;
     }
   }
@@ -317,17 +317,16 @@ void Stage<W, D>::step(const FieldView<D>& in, const FieldView<D>& out,
     case Method::Ours2:
       if constexpr (D == 1) {
         folded1d_advance<W>(folded_, p_, src_, k_, in, out, lo, hi);
-      } else if constexpr (D == 2) {
-        folded2d_advance<W>(p_, plan_, lam_, in, out, reuse_, lo, hi);
       } else {
-        // The sliding plane window lives in the owning worker's pool arena
+        // The folded window lives in the owning worker's pool arena
         // (allocated there, so its pages sit on the worker's NUMA node;
         // the pipelined schedule's prologue sizes it). Off-pool callers use
-        // a calling-thread-local window.
-        thread_local std::vector<AlignedBuffer> tls_window;
-        std::vector<AlignedBuffer>& window =
+        // a calling-thread-local window. Both only grow.
+        thread_local AlignedBuffer tls_window;
+        AlignedBuffer& window =
             pool_ != nullptr && wk >= 0 ? pool_->arena(wk) : tls_window;
-        folded3d_advance<W>(p_, plan_, lam_, in, out, window, lo, hi);
+        folded_advance<W, D>(p_, plan_, lam_, in, out, window, reuse_, lo,
+                             hi);
       }
       break;
     default: naive_step(groups_, in, out, k_, lo, hi); break;
@@ -366,7 +365,7 @@ using detail::kernel_entry;
 
 // ---------------------------------------------------------------------------
 // Registration of the single-step methods; ours-2step registers with its
-// folded body (folded1d/2d/3d.cpp). Capabilities (see kernels/registry.hpp):
+// folded bodies (folded.cpp). Capabilities (see kernels/registry.hpp):
 //  * naive/multiple-loads read at most `radius` beyond the interior;
 //  * data-reorg's aligned L/C/R loads touch one full vector beyond it
 //    (halo_floor = W) and its shifts reach at most W (max_radius = W);

@@ -34,10 +34,13 @@
 //    the copy-back. Every registered run_* entry point goes through it;
 //    the tiled engine passes its wedge schedule as the sweep.
 //
-// What stays per dimension is what genuinely differs: the folded (m = 2)
-// advance bodies — the 1-D transposed ring (folded1d.cpp), the 2-D
-// shifts-reuse ring buffer (folded2d.cpp) and the 3-D plane window
-// (folded3d.cpp) — and the registration tables, which are data.
+//  * The folded (m = 2) advance is one body for 2-D and 3-D
+//    (folded.cpp): a 2-D run is a 3-D run with one plane and no z-reach,
+//    and one stepwise shell correction over FieldView<D> serves both.
+//
+// What stays per dimension is what genuinely differs: the 1-D folded
+// advance, which folds transposed rows (folded.cpp), and the registration
+// tables, which are data.
 //
 // Layout contract: Stage::step/remainder read and write data already in
 // Stage::layout(); ping_pong() transforms Natural views in and out, and
@@ -75,11 +78,12 @@ constexpr int tl_max_radius() {
   return D == 1 ? W : std::min(W, D == 2 ? 4 : 2);
 }
 
-/// Largest folded radius (plan.radius = 2r) the 2-D ring buffer and the
-/// 3-D plane window hold.
-template <int D>
+/// Largest folded radius (2r at m = 2) the folded bodies hold: the
+/// transposed window's W in 1-D; in 2-D and 3-D the counterpart and
+/// basis-weight tables are sized from min(W, 4) and min(W, 2).
+template <int W, int D>
 constexpr int folded_max_radius() {
-  return D == 2 ? 4 : 2;
+  return D == 1 ? W : std::min(W, D == 2 ? 4 : 2);
 }
 
 /// A pattern (plus the optional 1-D source term) read as row groups: the
@@ -180,9 +184,9 @@ class Stage {
  public:
   /// `src` over `k` is the 1-D APOP source term (ignored above 1-D); a
   /// source array not already in the working layout is staged through a
-  /// private copy, so `k` stays untouched. `pool` supplies the 3-D folded
-  /// plane window of pool workers; `reuse` toggles the 2-D shifts-reuse
-  /// ring buffer (the §3.4 ablation).
+  /// private copy, so `k` stays untouched. `pool` supplies the 2-D/3-D
+  /// folded window of pool workers; `reuse` toggles the folded shifts
+  /// reuse (the §3.4 ablation).
   Stage(const Pattern<D>& p, Method m, int nx, const Pattern1D* src = nullptr,
         const FieldView<D>* k = nullptr, WorkerPool* pool = nullptr,
         bool reuse = true);
@@ -311,13 +315,13 @@ KernelInfo kernel_entry(Isa isa, int halo_floor = 0, int max_radius = 0,
 }
 
 // ---------------------------------------------------------------------------
-// The folded (m = 2) advance bodies: the only kernels written per D.
-// Each advances `in` two time levels into `out` over [lo, hi) of the outer
-// axis, with a private-buffer boundary-ring correction where the range
-// touches the domain shell (the folded expansion assumes the halo
-// advances in time). Correctness over a partial range relies on the
-// caller guaranteeing, as split tiling's wedge slopes do, that `in` holds
-// time-t values within 2r of the range.
+// The folded (m = 2) advance bodies (folded.cpp). Each advances `in` two
+// time levels into `out` over [lo, hi) of the outer axis, with a
+// private-buffer stepwise correction where the range touches the domain
+// shell (the folded expansion assumes the halo advances in time).
+// Correctness over a partial range relies on the caller guaranteeing, as
+// split tiling's wedge slopes do, that `in` holds time-t values within 2r
+// of the range.
 // ---------------------------------------------------------------------------
 
 /// 1-D: the transpose-layout step of power(p, 2) (`folded`, with the
@@ -329,38 +333,29 @@ void folded1d_advance(const RowGroups<W>& folded, const Pattern1D& p,
                       const FieldView1D& in, const FieldView1D& out, int lo,
                       int hi);
 
-/// 2-D: the paper's Fig. 5 pipeline per W-row band; `reuse` toggles the
-/// shifts-reuse ring buffer. Requires plan.radius <= min(W, 4).
-template <int W>
-void folded2d_advance(const Pattern2D& p, const FoldingPlan& plan,
-                      const Pattern2D& lambda, const FieldView2D& in,
-                      const FieldView2D& out, bool reuse, int ry0, int ry1);
+/// Doubles the 2-D/3-D folded window needs for a domain of row extent `nx`
+/// at SIMD width `W`: a ring of 2·Rz+1 planes (Rz the plan's z-reach, 0 in
+/// 2-D) of counterpart rows, each holding columns [-R, nx/W·W + R) of one
+/// W-row band. 0 for an empty (1-D) plan. The one source of the sizing:
+/// folded_advance's grow check and the wedge schedule's per-worker arena
+/// prologue both call it.
+std::size_t folded_window_doubles(const FoldingPlan& plan, int nx, int W);
 
-/// Shape of the folded-3D sliding plane window for a domain of row extent
-/// `nx` at SIMD width `W`: buffer count and doubles per buffer. The single
-/// source of the sizing — folded3d_advance's fits-check and the wedge
-/// schedule's per-worker arena prologue both call it, so they can never
-/// drift.
-struct Folded3DWindowShape {
-  std::size_t nbufs = 0;    ///< (2R+1) window slots x counterpart sources.
-  std::size_t doubles = 0;  ///< Per-buffer capacity in doubles.
-};
-Folded3DWindowShape folded3d_window_shape(const FoldingPlan& plan, int nx,
-                                          int W);
-
-/// 3-D: sliding plane window over [rz0, rz1). `window` caches per-plane
-/// counterpart columns and must be private to the calling thread (it is
-/// grown to folded3d_window_shape() when it does not already fit).
-/// Requires plan.radius <= min(W, 2).
-template <int W>
-void folded3d_advance(const Pattern3D& p, const FoldingPlan& plan,
-                      const Pattern3D& lambda, const FieldView3D& in,
-                      const FieldView3D& out,
-                      std::vector<AlignedBuffer>& window, int rz0, int rz1);
+/// 2-D and 3-D: the paper's Fig. 5 pipeline per W-row band, a 2-D run
+/// being one plane with no z-reach; bands cover rows [lo, hi) in 2-D and
+/// every row of planes [lo, hi) in 3-D. `window` holds the counterpart
+/// ring; it must be private to the calling thread and is grown to
+/// folded_window_doubles() when smaller. `reuse` toggles the shifts reuse
+/// (the §3.4 ablation). Requires plan.radius <= folded_max_radius<W, D>().
+template <int W, int D>
+void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
+                    const Pattern<D>& lambda, const FieldView<D>& in,
+                    const FieldView<D>& out, AlignedBuffer& window, bool reuse,
+                    int lo, int hi);
 
 /// The registered 2-D ours-2step executor, and the same run with the
-/// shifts-reuse ring buffer disabled (each vector set's counterparts
-/// recomputed from scratch) — the §3.4 ablation.
+/// shifts reuse disabled (each vector set's counterparts recomputed for
+/// every output set) — the §3.4 ablation.
 template <int W>
 void run_ours2_2d(const Pattern2D& p, const FieldView2D& a,
                   const FieldView2D& b, int tsteps);

@@ -341,15 +341,11 @@ void WorkerPool::parallel_for(int begin, int end,
   });
 }
 
-void WorkerPool::ensure_arena_local(int w, std::size_t nbufs,
-                                    std::size_t doubles_each) {
-  std::vector<AlignedBuffer>& a = arena(w);
-  if (a.size() == nbufs && (nbufs == 0 || a[0].size() >= doubles_each))
-    return;
-  a.clear();
+void WorkerPool::ensure_arena_local(int w, std::size_t doubles) {
+  AlignedBuffer& a = arena(w);
   // AlignedBuffer zero-fills on construction: the memset happens on this
   // (pinned) worker, so first-touch policy places the pages on its node.
-  for (std::size_t i = 0; i < nbufs; ++i) a.emplace_back(doubles_each);
+  if (a.size() < doubles) a = AlignedBuffer(doubles);
 }
 
 namespace {

@@ -191,27 +191,28 @@ class WorkerPool {
   /// owning worker.
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
-  /// Worker `w`'s scratch-buffer arena. The buffers live for the pool's
-  /// lifetime and are allocated *by* worker `w` (ensure_arena_local), so
-  /// their pages are first-touched on the worker's NUMA node. The tiled 3-D
-  /// folded stage keeps its sliding plane window here.
-  std::vector<AlignedBuffer>& arena(int w) {
+  /// Worker `w`'s scratch buffer. It lives for the pool's lifetime and is
+  /// allocated *by* worker `w` (ensure_arena_local), so its pages are
+  /// first-touched on the worker's NUMA node. The tiled 2-D/3-D folded
+  /// stage keeps its counterpart window here.
+  AlignedBuffer& arena(int w) {
     return workers_[static_cast<std::size_t>(w)].arena;
   }
 
-  /// Ensures worker `w`'s arena holds exactly `nbufs` buffers of at least
-  /// `doubles_each` doubles, (re)allocating and zeroing them on the calling
-  /// worker so first touch places the pages; a no-op when already
-  /// satisfied (the arena survives across runs). Must be called from a
-  /// task already running on worker `w` (arenas are worker-owned; only the
-  /// owner may inspect or resize its vector) — the pipelined wedge
-  /// prologue uses this to fold the first-touch zeroing into the slot that
-  /// already overlaps the first super-step.
-  void ensure_arena_local(int w, std::size_t nbufs, std::size_t doubles_each);
+  /// Grows worker `w`'s arena to at least `doubles` doubles, allocating
+  /// and zeroing it on the calling worker so first touch places the pages;
+  /// a no-op when it is already that large (the arena survives across runs
+  /// and never shrinks, so runs of differently sized plans on one worker do
+  /// not reallocate). Must be called from a task already running on worker
+  /// `w` (arenas are worker-owned; only the owner may inspect or resize
+  /// its buffer) — the pipelined wedge prologue uses this to fold the
+  /// first-touch zeroing into the slot that already overlaps the first
+  /// super-step.
+  void ensure_arena_local(int w, std::size_t doubles);
 
  private:
   struct Worker {
-    std::vector<AlignedBuffer> arena;
+    AlignedBuffer arena;
     int cpu = -1;
     int node = -1;
   };

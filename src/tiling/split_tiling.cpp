@@ -235,7 +235,7 @@ int wedge_schedule(G& a, G& b, const WedgePlan& w, int super_steps, Adv&& adv,
 /// `serial` forces the whole run onto the calling thread (no pool
 /// dispatch): the batched entry runs each item this way on the pool worker
 /// that owns it, so nested stage parallelism (and the arena races a nested
-/// inline run() would cause for the 3-D folded window) never arises. The
+/// inline run() would cause for the folded window) never arises. The
 /// wedge geometry is negotiated identically either way, so serial and
 /// pooled runs are bitwise identical.
 template <int W, int D>
@@ -266,25 +266,20 @@ void tiled_impl(const Pattern<D>& p, const FieldView<D>& a,
   auto sweep = [&](int supers) {
     // Domain too small to tile: plain full sweeps.
     if (!w.blocked) return detail::full_sweeps(stage, a, b, supers);
-    // Pipelined 3-D folded runs first-touch the per-worker plane window in
+    // Pipelined 2-D/3-D folded runs first-touch the per-worker window in
     // the prologue slot that already overlaps the first super-step — the
     // same down(0) transitive wait orders it, so no extra sync edge and no
     // separate pool dispatch ahead of the run. Barrier-schedule runs grow
     // the window inside their first stage.
-    bool overlap_arena = false;
-    detail::Folded3DWindowShape window_shape;
-    if constexpr (D == 3) {
-      overlap_arena = stage.method() == Method::Ours2 && pool != nullptr &&
-                      pipelined_schedule(w, pool.get());
-      if (overlap_arena)
-        window_shape = detail::folded3d_window_shape(stage.plan(), a.nx(), W);
-    }
+    const std::size_t window =
+        detail::folded_window_doubles(stage.plan(), a.nx(), W);
+    const bool overlap_arena = stage.method() == Method::Ours2 &&
+                               window > 0 && pool != nullptr &&
+                               pipelined_schedule(w, pool.get());
     std::function<void(int, int, int)> prologue;
     if (overlap_layout || overlap_arena) {
       prologue = [&](int t0, int t1, int wk) {
-        if (overlap_arena)
-          pool->ensure_arena_local(wk, window_shape.nbufs,
-                                   window_shape.doubles);
+        if (overlap_arena) pool->ensure_arena_local(wk, window);
         if (!overlap_layout || t0 >= t1) return;
         // Own rows plus the halo rows attached to the domain-end tiles:
         // the up stage reads neighbours of boundary rows, and both parity

@@ -294,6 +294,12 @@ TEST(Engine, PrepareRejectsExtentsNoViewCanHave) {
     EXPECT_THROW(eng.plan_key(preset(p), big, auto_levels),
                  std::invalid_argument);
   }
+  // An in-range nx whose padded row (nx plus the prepared halo on both
+  // sides, rounded up to 8 doubles) no int row stride can hold.
+  EXPECT_THROW(eng.prepare(Preset::Heat2D, Extents{imax, 4}),
+               std::invalid_argument);
+  EXPECT_THROW(eng.prepare(Preset::Heat3D, Extents{imax, 4, 4}),
+               std::invalid_argument);
 }
 
 // A small grid of dimensionality D with halo `h` (extents unlike per axis).

@@ -88,9 +88,8 @@ std::vector<Case> make_cases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, Kernel2D, ::testing::ValuesIn(make_cases()),
                          case_name);
 
-TEST(Kernel2D, ShiftsReuseBitExact) {
-  // The shifts-reuse ring buffer must not change results at all (same
-  // operations, same order) versus recomputing every vector set.
+template <int W>
+void expect_reuse_bit_exact_2d() {
   const auto& spec = preset(Preset::Box2D9);
   const int ny = 36, nx = 44, halo = 8, tsteps = 6;
   Grid2D a1(ny, nx, halo), b1(ny, nx, halo), a2(ny, nx, halo), b2(ny, nx, halo);
@@ -98,9 +97,42 @@ TEST(Kernel2D, ShiftsReuseBitExact) {
   copy(a1, b1);
   copy(a1, a2);
   copy(a1, b2);
-  detail::run_ours2_2d<4>(spec.p2, a1, b1, tsteps);
-  detail::run_ours2_2d_noreuse<4>(spec.p2, a2, b2, tsteps);
-  EXPECT_EQ(max_abs_diff(a1, a2), 0.0);
+  detail::run_ours2_2d<W>(spec.p2, a1, b1, tsteps);
+  detail::run_ours2_2d_noreuse<W>(spec.p2, a2, b2, tsteps);
+  EXPECT_EQ(max_abs_diff(a1, a2), 0.0) << "2-D W " << W;
+}
+
+// The 3-D run of the same body: the plane ring with and without reuse.
+template <int W>
+void expect_reuse_bit_exact_3d(Preset p) {
+  const auto& spec = preset(p);
+  const int nz = 10, ny = 13, nx = 21, halo = 8, tsteps = 6;
+  Grid3D a1(nz, ny, nx, halo), b1(nz, ny, nx, halo);
+  Grid3D a2(nz, ny, nx, halo), b2(nz, ny, nx, halo);
+  fill_random(a1, 4343);
+  copy(a1, b1);
+  copy(a1, a2);
+  copy(a1, b2);
+  for (bool reuse : {true, false}) {
+    const detail::Stage<W, 3> stage(spec.p3, Method::Ours2, nx, nullptr,
+                                    nullptr, nullptr, reuse);
+    ASSERT_EQ(stage.method(), Method::Ours2) << spec.name;
+    detail::ping_pong(stage, reuse ? a1 : a2, reuse ? b1 : b2, tsteps);
+  }
+  EXPECT_EQ(max_abs_diff(a1, a2), 0.0) << spec.name << " W " << W;
+}
+
+TEST(Kernel2D, ShiftsReuseBitExact) {
+  // The shifts reuse must not change results at all (same operations,
+  // same order) versus recomputing every vector set, in 2-D and through
+  // the 3-D plane ring, at every vector width the CPU runs.
+  expect_reuse_bit_exact_2d<4>();
+  for (Preset p : {Preset::Heat3D, Preset::Box3D27})
+    expect_reuse_bit_exact_3d<4>(p);
+  if (!cpu_has_avx512()) return;
+  expect_reuse_bit_exact_2d<8>();
+  for (Preset p : {Preset::Heat3D, Preset::Box3D27})
+    expect_reuse_bit_exact_3d<8>(p);
 }
 
 TEST(Kernel2D, ScratchGridRestored) {

@@ -6,9 +6,12 @@
 //  * Seeded random patterns at r = 1, at the registry's max_radius and one
 //    beyond it (where the kernel falls back internally) match the naive
 //    reference, untiled and through the tiled stage at tiled_max_radius.
+//  * Every run stays inside the addressable span of the caller's views.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/cpu.hpp"
+#include "core/engine.hpp"
 #include "grid/grid_utils.hpp"
 #include "kernels/registry.hpp"
 #include "stencil/presets.hpp"
@@ -252,6 +257,112 @@ void sweep_tiled_radius_caps() {
 TEST(KernelsND, TiledRadiusCaps1D) { sweep_tiled_radius_caps<1>(); }
 TEST(KernelsND, TiledRadiusCaps2D) { sweep_tiled_radius_caps<2>(); }
 TEST(KernelsND, TiledRadiusCaps3D) { sweep_tiled_radius_caps<3>(); }
+
+/// A caller-owned field of extents `n` (x first) at halo `h`, with every
+/// double outside the view's addressable span — from the first halo cell
+/// of the first halo row/plane to the last halo cell of the last, as
+/// PreparedStencil::run validation computes it — poisoned. Under ASan any
+/// access there faults; elsewhere the poisoning is a no-op.
+template <int D>
+class PoisonedField {
+ public:
+  PoisonedField(const std::array<int, D>& n, int h) {
+    std::array<std::ptrdiff_t, 3> st{1, 0, 0};
+    for (int ax = 1; ax < D; ++ax)
+      st[ax] = static_cast<std::ptrdiff_t>(round_up(
+          static_cast<std::size_t>(st[ax - 1] * (n[ax - 1] + 2 * h)), 8));
+    const std::ptrdiff_t pad = 16;  // poisoned doubles on either side
+    std::ptrdiff_t origin = static_cast<std::ptrdiff_t>(round_up(pad + h, 8));
+    lo_ = origin - h;
+    hi_ = origin + n[0] + h;
+    for (int ax = 1; ax < D; ++ax) {
+      origin += h * st[ax];
+      hi_ += (n[ax] + 2 * h - 1) * st[ax];
+    }
+    buf_ = AlignedBuffer(static_cast<std::size_t>(hi_ + pad));
+    double* d = buf_.data() + origin;
+    if constexpr (D == 1) view_ = FieldView1D(d, n[0], h);
+    else if constexpr (D == 2)
+      view_ = FieldView2D(d, n[1], n[0], static_cast<int>(st[1]), h);
+    else
+      view_ = FieldView3D(d, n[2], n[1], n[0], static_cast<int>(st[1]),
+                          static_cast<std::size_t>(st[2]), h);
+    fill_random(view_, 7 + static_cast<std::uint64_t>(n[0]));
+    poison(true);
+  }
+  ~PoisonedField() { poison(false); }
+  PoisonedField(const PoisonedField&) = delete;
+  PoisonedField& operator=(const PoisonedField&) = delete;
+
+  const FieldView<D>& view() const { return view_; }
+
+ private:
+  void poison(bool on) {
+    double* b = buf_.data();
+    const std::size_t tail = buf_.size() - static_cast<std::size_t>(hi_);
+    if (on) {
+      ASAN_POISON_MEMORY_REGION(b, lo_ * sizeof(double));
+      ASAN_POISON_MEMORY_REGION(b + hi_, tail * sizeof(double));
+    } else {
+      ASAN_UNPOISON_MEMORY_REGION(b, lo_ * sizeof(double));
+      ASAN_UNPOISON_MEMORY_REGION(b + hi_, tail * sizeof(double));
+    }
+  }
+
+  AlignedBuffer buf_;
+  std::ptrdiff_t lo_ = 0, hi_ = 0;  // the span, in doubles from buf_
+  FieldView<D> view_;
+};
+
+template <int D>
+void run_inside_span(const StencilSpec& spec, Method m, Isa isa, bool tiled,
+                     const std::array<int, D>& n) {
+  ExecOptions o;
+  o.method = m;
+  o.isa = isa;
+  o.tiling = tiled ? Tiling::On : Tiling::Off;
+  o.threads = 2;
+  o.tile = tiled ? n[D - 1] / 3 : 0;
+  const PreparedStencil ps = Engine::instance().prepare(
+      spec, Extents{n[0], D >= 2 ? n[1] : 0, D == 3 ? n[2] : 0}, o);
+  const int h = ps.halo();
+  PoisonedField<D> a(n, h), b(n, h);
+  if constexpr (D == 1) {
+    if (spec.has_source) {
+      PoisonedField<1> k(n, h);
+      ps.run(a.view(), b.view(), k.view(), 5);
+      return;
+    }
+  }
+  ps.run(a.view(), b.view(), 5);
+}
+
+TEST(KernelsND, RunsStayInsideViewSpan) {
+  // Every preset x method x ISA through PreparedStencil::run on caller
+  // views at the prepared halo, untiled and tiled on two workers; extents
+  // with x tails and partial row bands. An ASan build faults on any
+  // access beyond a view's span (the CI sanitizer job); the run completes
+  // either way.
+  const Method methods[] = {Method::Naive, Method::MultipleLoads,
+                            Method::DataReorg, Method::DLT, Method::Ours,
+                            Method::Ours2};
+  for (const StencilSpec& spec : all_presets())
+    for (Method m : methods)
+      for (Isa isa : kIsas) {
+        if (!isa_runs(isa)) continue;
+        for (bool tiled : {false, true}) {
+          SCOPED_TRACE(spec.name + " " + method_name(m) + " " + isa_name(isa) +
+                       (tiled ? " tiled" : " untiled"));
+          if (spec.dims == 1) run_inside_span<1>(spec, m, isa, tiled, {203});
+          if (spec.dims == 2) {
+            run_inside_span<2>(spec, m, isa, tiled, {64, 61});
+            run_inside_span<2>(spec, m, isa, tiled, {61, 64});
+          }
+          if (spec.dims == 3)
+            run_inside_span<3>(spec, m, isa, tiled, {37, 10, 9});
+        }
+      }
+}
 
 }  // namespace
 }  // namespace sf

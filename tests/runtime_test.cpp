@@ -214,20 +214,25 @@ TEST(WorkerPool, OversubscriptionCompletes) {
 
 TEST(WorkerPool, ArenaAllocatedPerWorker) {
   WorkerPool pool(2, Affinity::None);
-  const auto ensure = [&] {
-    pool.run([&](int w) { pool.ensure_arena_local(w, 3, 256); });
+  const auto ensure = [&](std::size_t doubles) {
+    pool.run([&](int w) { pool.ensure_arena_local(w, doubles); });
   };
-  ensure();
-  for (int w = 0; w < 2; ++w) {
-    ASSERT_EQ(pool.arena(w).size(), 3u);
-    EXPECT_GE(pool.arena(w)[0].size(), 256u);
-  }
-  // Distinct workers own distinct slabs.
-  EXPECT_NE(pool.arena(0)[0].data(), pool.arena(1)[0].data());
-  // Re-ensuring with satisfied sizes keeps the buffers (pointer-stable).
-  const double* p0 = pool.arena(0)[0].data();
-  ensure();
-  EXPECT_EQ(pool.arena(0)[0].data(), p0);
+  ensure(256);
+  for (int w = 0; w < 2; ++w) EXPECT_GE(pool.arena(w).size(), 256u);
+  // Distinct workers own distinct buffers.
+  EXPECT_NE(pool.arena(0).data(), pool.arena(1).data());
+  // Re-ensuring with a satisfied size keeps the buffer (pointer-stable),
+  // and so does a smaller request: the arena only grows.
+  const double* p0 = pool.arena(0).data();
+  ensure(256);
+  EXPECT_EQ(pool.arena(0).data(), p0);
+  ensure(16);
+  EXPECT_EQ(pool.arena(0).data(), p0);
+  EXPECT_GE(pool.arena(0).size(), 256u);
+  // A larger request grows it.
+  ensure(4096);
+  for (int w = 0; w < 2; ++w) EXPECT_GE(pool.arena(w).size(), 4096u);
+  EXPECT_NE(pool.arena(0).data(), pool.arena(1).data());
 }
 
 TEST(WorkerPool, SharedPoolReusedPerConfiguration) {
