@@ -237,11 +237,7 @@ RunResult Solver::run_impl(bool verify) {
       }
       fill_random(*RA, cfg_.seed);
       copy(*RA, *RB);
-      if constexpr (D == 1)
-        run_reference(p, *RA, *RB, tsteps, has_source ? &s.src1 : nullptr,
-                      kk);
-      else
-        run_reference(p, *RA, *RB, tsteps);
+      run_reference(p, *RA, *RB, tsteps, has_source ? &s.src1 : nullptr, kk);
       res.max_error = max_abs_diff(*A, *RA);
     }
     return res;

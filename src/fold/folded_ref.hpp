@@ -1,246 +1,117 @@
-// Generic (scalar) temporal-folding executors for any dimension and any
-// unrolling factor m.
+// Generic (scalar) temporal-folding executor for any dimension and any
+// unrolling factor m: the reference implementation the folded tests
+// compare against.
 //
 // One folded *advance* produces the exact m-step Jacobi result:
 //  * deep interior (distance >= rho = (m-1)*r from the boundary): one
 //    application of the folding matrix Λ = p^m — this is where the paper's
 //    arithmetic-redundancy saving comes from;
-//  * boundary ring (distance < rho): recomputed stepwise over shrinking
-//    frames into scratch grids, because the Dirichlet halo never advances in
-//    time and the folded expansion would otherwise assume it does.
+//  * boundary shell (distance < rho): recomputed stepwise over shrinking
+//    shells (fold/region.hpp) into scratch grids, because the Dirichlet
+//    halo never advances in time and the folded expansion would otherwise
+//    assume it does.
 //
-// These executors define the semantics the vectorized folded kernels
-// (src/kernels/folded*.cpp) must match bit-for-bit on the ring and to FP
-// tolerance in the interior.
+// The vectorized ours-2step kernels (src/kernels/folded.cpp) apply the same
+// rule at m = 2; their shell equals two single steps bit for bit, and
+// their interior matches this executor to FP tolerance.
 #pragma once
 
-#include <memory>
+#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "fold/region.hpp"
 #include "grid/grid.hpp"
+#include "grid/grid_utils.hpp"
 #include "stencil/pattern.hpp"
 #include "stencil/reference.hpp"
 
 namespace sf {
 
-// ---------------------------------------------------------------------------
-// 1-D
-// ---------------------------------------------------------------------------
-class FoldedRunner1D {
+/// Runs p with temporal folding of depth m, scalar, over FieldView<D>.
+template <int D>
+class FoldedRunner {
  public:
-  /// `src`/`k` add a time-invariant source (APOP): step = p(A) + src(K).
-  FoldedRunner1D(const Pattern1D& p, int m, int n, const Pattern1D* src = nullptr)
-      : p_(p), m_(m), r_(p.radius()), lambda_(power(p, m)),
-        sa_(n, lambda_.radius()), sb_(n, lambda_.radius()) {
-    if (src != nullptr) {
-      src_ = *src;
-      has_src_ = true;
-      folded_src_ = compose(power_sum(p, m), *src);
-    }
-  }
-
-  int m() const { return m_; }
-
-  /// out = exact m-step update of in. Scratch halos must mirror in's halo;
-  /// call sync_halo(in) once before the first advance.
-  void sync_halo(const Grid1D& in) {
-    for (int i = -sa_.halo(); i < 0; ++i) sa_.at(i) = sb_.at(i) = in.at(i);
-    for (int i = in.n(); i < in.n() + sa_.halo(); ++i)
-      sa_.at(i) = sb_.at(i) = in.at(i);
-  }
-
-  void advance(const Grid1D& in, Grid1D& out, const Grid1D* k = nullptr) {
-    const int n = in.n();
-    const int rho = (m_ - 1) * r_;
-
-    // Deep interior: single folded application.
-    if (n > 2 * rho) {
-      apply_pattern(lambda_, in, out, rho, n - rho);
-      if (has_src_ && k != nullptr) add_source(folded_src_, *k, out, rho, n - rho);
-    }
-
-    // Ring correction: stepwise over shrinking frames.
-    if (rho > 0) {
-      const Grid1D* cur = &in;
-      Grid1D* nxt = &sa_;
-      for (int step = 1; step < m_; ++step) {
-        const int w = (2 * m_ - step - 1) * r_;
-        for (const Seg& s : frame_segs(n, w)) {
-          apply_pattern(p_, *cur, *nxt, s.a, s.b);
-          if (has_src_ && k != nullptr) add_source(src_, *k, *nxt, s.a, s.b);
-        }
-        cur = nxt;
-        nxt = (nxt == &sa_) ? &sb_ : &sa_;
+  /// `src` adds the 1-D APOP source term (ignored above 1-D): step =
+  /// p(A) + src(K).
+  FoldedRunner(const Pattern<D>& p, int m, const Pattern1D* src = nullptr)
+      : p_(p), m_(m), r_(p.radius()), lambda_(power(p, m)) {
+    if constexpr (D == 1)
+      if (src != nullptr) {
+        src_ = *src;
+        has_src_ = true;
+        folded_src_ = compose(power_sum(p, m), *src);
       }
-      for (const Seg& s : frame_segs(n, std::min(rho, n))) {
-        apply_pattern(p_, *cur, out, s.a, s.b);
-        if (has_src_ && k != nullptr) add_source(src_, *k, out, s.a, s.b);
-      }
-    }
   }
 
   /// Runs `tsteps` total steps: floor(tsteps/m) folded advances plus a
-  /// stepwise remainder. Result lands in `a`.
-  void run(Grid1D& a, Grid1D& b, int tsteps, const Grid1D* k = nullptr) {
-    sync_halo(a);
-    Grid1D* in = &a;
-    Grid1D* out = &b;
+  /// stepwise remainder. Result lands in `a`; `k` is the source array.
+  void run(const FieldView<D>& a, const FieldView<D>& b, int tsteps,
+           const FieldView<D>* k = nullptr) {
+    std::array<int, D> n{};
+    for (int ax = 0; ax < D; ++ax) n[ax] = a.extent(ax);
+    // Scratch levels of the shell; their halos mirror a's.
+    Grid<D> sa(n, a.halo()), sb(n, a.halo());
+    copy(a, sa);
+    copy(a, sb);
+    const FieldView<D>* in = &a;
+    const FieldView<D>* out = &b;
     int t = 0;
     for (; t + m_ <= tsteps; t += m_) {
-      advance(*in, *out, k);
+      advance(*in, *out, k, sa, sb);
       std::swap(in, out);
     }
     for (; t < tsteps; ++t) {
-      apply_pattern(p_, *in, *out, 0, in->n());
-      if (has_src_ && k != nullptr) add_source(src_, *k, *out, 0, in->n());
+      apply(p_, src_, *in, *out, {{}, n}, k);
       std::swap(in, out);
     }
     if (in != &a) copy_interior(*in, a);
   }
 
  private:
-  Pattern1D p_;
+  /// out = q(in) (+ s(K) in 1-D) over `box`.
+  void apply(const Pattern<D>& q, const Pattern1D& s, const FieldView<D>& in,
+             const FieldView<D>& out, const Box<D>& box,
+             const FieldView<D>* k) const {
+    apply_box<D>(q, in, out, box.lo, box.hi);
+    if constexpr (D == 1)
+      if (has_src_ && k != nullptr)
+        add_source(s, *k, out, box.lo[0], box.hi[0]);
+  }
+
+  /// out = the exact m-step update of in.
+  void advance(const FieldView<D>& in, const FieldView<D>& out,
+               const FieldView<D>* k, const FieldView<D>& sa,
+               const FieldView<D>& sb) const {
+    const int rho = (m_ - 1) * r_;
+    Box<D> all, deep;
+    for (int ax = 0; ax < D; ++ax) {
+      all.hi[ax] = in.extent(ax);
+      deep.lo[ax] = rho;
+      deep.hi[ax] = in.extent(ax) - rho;
+    }
+    // Deep interior: single folded application.
+    apply(lambda_, folded_src_, in, out, deep, k);
+
+    // Shell correction: stepwise over shrinking shells.
+    const FieldView<D>* cur = &in;
+    const FieldView<D>* nxt = &sa;
+    for (int step = 1; step < m_; ++step) {
+      const int w = (2 * m_ - step - 1) * r_;
+      for (const Box<D>& s : shell_boxes<D>(all.hi, w, all))
+        apply(p_, src_, *cur, *nxt, s, k);
+      cur = nxt;
+      nxt = nxt == &sa ? &sb : &sa;
+    }
+    for (const Box<D>& s : shell_boxes<D>(all.hi, rho, all))
+      apply(p_, src_, *cur, out, s, k);
+  }
+
+  Pattern<D> p_;
   int m_, r_;
-  Pattern1D lambda_;
+  Pattern<D> lambda_;
   bool has_src_ = false;
   Pattern1D src_, folded_src_;
-  Grid1D sa_, sb_;
-};
-
-// ---------------------------------------------------------------------------
-// 2-D
-// ---------------------------------------------------------------------------
-class FoldedRunner2D {
- public:
-  FoldedRunner2D(const Pattern2D& p, int m, int ny, int nx)
-      : p_(p), m_(m), r_(p.radius()), lambda_(power(p, m)),
-        sa_(ny, nx, lambda_.radius()), sb_(ny, nx, lambda_.radius()) {}
-
-  int m() const { return m_; }
-  const Pattern2D& lambda() const { return lambda_; }
-
-  void sync_halo(const Grid2D& in) {
-    const int h = sa_.halo();
-    for (int y = -h; y < in.ny() + h; ++y)
-      for (int x = -h; x < in.nx() + h; ++x) {
-        if (y >= 0 && y < in.ny() && x >= 0 && x < in.nx()) continue;
-        sa_.at(y, x) = sb_.at(y, x) = in.at(y, x);
-      }
-  }
-
-  void advance(const Grid2D& in, Grid2D& out) {
-    const int ny = in.ny(), nx = in.nx();
-    const int rho = (m_ - 1) * r_;
-
-    if (ny > 2 * rho && nx > 2 * rho)
-      apply_pattern(lambda_, in, out, rho, ny - rho, rho, nx - rho);
-
-    if (rho > 0) {
-      const Grid2D* cur = &in;
-      Grid2D* nxt = &sa_;
-      for (int step = 1; step < m_; ++step) {
-        const int w = (2 * m_ - step - 1) * r_;
-        for (const Rect& rc : frame_rects(ny, nx, w))
-          apply_pattern(p_, *cur, *nxt, rc.y0, rc.y1, rc.x0, rc.x1);
-        cur = nxt;
-        nxt = (nxt == &sa_) ? &sb_ : &sa_;
-      }
-      for (const Rect& rc : frame_rects(ny, nx, rho))
-        apply_pattern(p_, *cur, out, rc.y0, rc.y1, rc.x0, rc.x1);
-    }
-  }
-
-  void run(Grid2D& a, Grid2D& b, int tsteps) {
-    sync_halo(a);
-    Grid2D* in = &a;
-    Grid2D* out = &b;
-    int t = 0;
-    for (; t + m_ <= tsteps; t += m_) {
-      advance(*in, *out);
-      std::swap(in, out);
-    }
-    for (; t < tsteps; ++t) {
-      apply_pattern(p_, *in, *out, 0, in->ny(), 0, in->nx());
-      std::swap(in, out);
-    }
-    if (in != &a) copy_interior(*in, a);
-  }
-
- private:
-  Pattern2D p_;
-  int m_, r_;
-  Pattern2D lambda_;
-  Grid2D sa_, sb_;
-};
-
-// ---------------------------------------------------------------------------
-// 3-D
-// ---------------------------------------------------------------------------
-class FoldedRunner3D {
- public:
-  FoldedRunner3D(const Pattern3D& p, int m, int nz, int ny, int nx)
-      : p_(p), m_(m), r_(p.radius()), lambda_(power(p, m)),
-        sa_(nz, ny, nx, lambda_.radius()), sb_(nz, ny, nx, lambda_.radius()) {}
-
-  int m() const { return m_; }
-
-  void sync_halo(const Grid3D& in) {
-    const int h = sa_.halo();
-    for (int z = -h; z < in.nz() + h; ++z)
-      for (int y = -h; y < in.ny() + h; ++y)
-        for (int x = -h; x < in.nx() + h; ++x) {
-          if (z >= 0 && z < in.nz() && y >= 0 && y < in.ny() && x >= 0 &&
-              x < in.nx())
-            continue;
-          sa_.at(z, y, x) = sb_.at(z, y, x) = in.at(z, y, x);
-        }
-  }
-
-  void advance(const Grid3D& in, Grid3D& out) {
-    const int nz = in.nz(), ny = in.ny(), nx = in.nx();
-    const int rho = (m_ - 1) * r_;
-
-    if (nz > 2 * rho && ny > 2 * rho && nx > 2 * rho)
-      apply_pattern(lambda_, in, out, rho, nz - rho, rho, ny - rho, rho,
-                    nx - rho);
-
-    if (rho > 0) {
-      const Grid3D* cur = &in;
-      Grid3D* nxt = &sa_;
-      for (int step = 1; step < m_; ++step) {
-        const int w = (2 * m_ - step - 1) * r_;
-        for (const Box& bx : frame_boxes(nz, ny, nx, w))
-          apply_pattern(p_, *cur, *nxt, bx.z0, bx.z1, bx.y0, bx.y1, bx.x0,
-                        bx.x1);
-        cur = nxt;
-        nxt = (nxt == &sa_) ? &sb_ : &sa_;
-      }
-      for (const Box& bx : frame_boxes(nz, ny, nx, rho))
-        apply_pattern(p_, *cur, out, bx.z0, bx.z1, bx.y0, bx.y1, bx.x0, bx.x1);
-    }
-  }
-
-  void run(Grid3D& a, Grid3D& b, int tsteps) {
-    sync_halo(a);
-    Grid3D* in = &a;
-    Grid3D* out = &b;
-    int t = 0;
-    for (; t + m_ <= tsteps; t += m_) {
-      advance(*in, *out);
-      std::swap(in, out);
-    }
-    for (; t < tsteps; ++t) {
-      apply_pattern(p_, *in, *out, 0, in->nz(), 0, in->ny(), 0, in->nx());
-      std::swap(in, out);
-    }
-    if (in != &a) copy_interior(*in, a);
-  }
-
- private:
-  Pattern3D p_;
-  int m_, r_;
-  Pattern3D lambda_;
-  Grid3D sa_, sb_;
 };
 
 }  // namespace sf

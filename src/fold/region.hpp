@@ -1,10 +1,10 @@
-// Frame/ring region decomposition used by the folded executors.
+// The boundary shell of a folded update.
 //
 // A folded m-step update is only valid where the whole dependency cone of
 // intermediate time levels stays inside the interior (the Dirichlet halo
-// never advances in time). The invalid *ring* of width rho = (m-1)*r is
-// recomputed stepwise on shrinking *frames*; these helpers enumerate those
-// regions as a handful of disjoint segments / rectangles / slabs.
+// never advances in time). The invalid shell is recomputed stepwise; this
+// helper enumerates it as a handful of disjoint boxes, so every shell
+// point is computed exactly once.
 #pragma once
 
 #include <algorithm>
@@ -13,65 +13,46 @@
 
 namespace sf {
 
-struct Seg {
-  int a, b;  // [a, b)
-  bool empty() const { return a >= b; }
-};
-
-struct Rect {
-  int y0, y1, x0, x1;
-  bool empty() const { return y0 >= y1 || x0 >= x1; }
-};
-
+/// A box of a D-dimensional domain: [lo, hi) per axis, x first.
+template <int D>
 struct Box {
-  int z0, z1, y0, y1, x0, x1;
-  bool empty() const { return z0 >= z1 || y0 >= y1 || x0 >= x1; }
+  std::array<int, D> lo{}, hi{};
+  bool empty() const {
+    for (int ax = 0; ax < D; ++ax)
+      if (lo[ax] >= hi[ax]) return true;
+    return false;
+  }
 };
 
-/// Points of [0,n) within distance < w of either end (disjoint segments).
-inline std::vector<Seg> frame_segs(int n, int w) {
-  std::vector<Seg> v;
-  if (w <= 0 || n <= 0) return v;
-  if (2 * w >= n) {
-    v.push_back({0, n});
-  } else {
-    v.push_back({0, w});
-    v.push_back({n - w, n});
+/// The points of `clip` within distance < w of the boundary of the domain
+/// [0, extents) (x first), as disjoint boxes: per axis, outermost first, a
+/// low and a high slab spanning the axes not yet peeled. Outer slabs thus
+/// keep whole rows, and a domain narrower than 2w on some axis is covered
+/// whole.
+template <int D>
+std::vector<Box<D>> shell_boxes(const std::array<int, D>& extents, int w,
+                                const Box<D>& clip) {
+  std::vector<Box<D>> boxes;
+  if (w <= 0) return boxes;
+  Box<D> core;  // the part not peeled yet
+  core.hi = extents;
+  for (int ax = D - 1; ax >= 0; --ax) {
+    const int n = extents[ax];
+    const int inner0 = std::min(w, n), inner1 = std::max(n - w, inner0);
+    for (const auto& [a, b] : {std::array{0, inner0}, std::array{inner1, n}}) {
+      Box<D> s = core;
+      s.lo[ax] = a;
+      s.hi[ax] = b;
+      for (int k = 0; k < D; ++k) {
+        s.lo[k] = std::max(s.lo[k], clip.lo[k]);
+        s.hi[k] = std::min(s.hi[k], clip.hi[k]);
+      }
+      if (!s.empty()) boxes.push_back(s);
+    }
+    core.lo[ax] = inner0;
+    core.hi[ax] = inner1;
   }
-  return v;
-}
-
-/// Points of [0,ny) x [0,nx) within distance < w of the boundary, as at most
-/// four disjoint rectangles.
-inline std::vector<Rect> frame_rects(int ny, int nx, int w) {
-  std::vector<Rect> v;
-  if (w <= 0 || ny <= 0 || nx <= 0) return v;
-  if (2 * w >= ny || 2 * w >= nx) {
-    v.push_back({0, ny, 0, nx});
-    return v;
-  }
-  v.push_back({0, w, 0, nx});            // top
-  v.push_back({ny - w, ny, 0, nx});      // bottom
-  v.push_back({w, ny - w, 0, w});        // left
-  v.push_back({w, ny - w, nx - w, nx});  // right
-  return v;
-}
-
-/// Boundary shell of width w of a 3-D box, as at most six disjoint slabs.
-inline std::vector<Box> frame_boxes(int nz, int ny, int nx, int w) {
-  std::vector<Box> v;
-  if (w <= 0 || nz <= 0 || ny <= 0 || nx <= 0) return v;
-  if (2 * w >= nz || 2 * w >= ny || 2 * w >= nx) {
-    v.push_back({0, nz, 0, ny, 0, nx});
-    return v;
-  }
-  v.push_back({0, w, 0, ny, 0, nx});                      // z-low
-  v.push_back({nz - w, nz, 0, ny, 0, nx});                // z-high
-  v.push_back({w, nz - w, 0, w, 0, nx});                  // y-low
-  v.push_back({w, nz - w, ny - w, ny, 0, nx});            // y-high
-  v.push_back({w, nz - w, w, ny - w, 0, w});              // x-low
-  v.push_back({w, nz - w, w, ny - w, nx - w, nx});        // x-high
-  return v;
+  return boxes;
 }
 
 }  // namespace sf

@@ -96,6 +96,16 @@ class FieldView {
     static_assert(D == 3, "this constructor builds a 3-D view");
   }
 
+  /// Any dimensionality at once: extents `n` and element strides, x first.
+  FieldView(double* interior, const std::array<int, D>& n,
+            const std::array<std::ptrdiff_t, D>& stride, int halo)
+      : p_(interior), halo_(halo) {
+    for (int ax = 0; ax < D; ++ax) {
+      n_[ax] = n[ax];
+      st_[ax] = stride[ax];
+    }
+  }
+
   /// Interior extent along `axis` (0 = x, 1 = y, 2 = z).
   int extent(int axis) const { return n_[axis]; }
   /// Interior extent of the outermost axis — the one the row walker and
@@ -180,17 +190,20 @@ class FieldView {
   /// The view itself (sliced out of a Grid), so helpers accept a view or a
   /// Grid alike.
   FieldView view() const { return *this; }
-
- protected:
-  /// Any dimensionality at once, extents and strides x first — for owners
-  /// that derive their geometry per axis (Grid).
-  FieldView(double* interior, const std::array<int, D>& n,
-            const std::array<std::ptrdiff_t, D>& stride, int halo)
-      : p_(interior), halo_(halo) {
+  /// The box [lo, hi) of this view (bounds x first, in this view's
+  /// indices) as a view of its own: element 0 sits at `lo`, extents are
+  /// hi - lo, and strides, halo and layout tag are kept. Its "halo" cells
+  /// are this view's neighbouring cells, so a stencil step on the sub-view
+  /// reads the surrounding field. Natural layout only: the bytes are not
+  /// re-addressed.
+  FieldView sub(const std::array<int, D>& lo,
+                const std::array<int, D>& hi) const {
+    FieldView v = *this;
     for (int ax = 0; ax < D; ++ax) {
-      n_[ax] = n[ax];
-      st_[ax] = stride[ax];
+      v.p_ += lo[ax] * st_[ax];
+      v.n_[ax] = hi[ax] - lo[ax];
     }
+    return v;
   }
 
  private:

@@ -72,6 +72,10 @@ class Grid : private detail::GridStorage, public FieldView<D> {
       : Grid(geometry({nx, ny, nz}, halo), zero_init) {
     static_assert(D == 3, "this constructor builds a 3-D grid");
   }
+  /// Any dimensionality: interior `extents`, x first; `zero_init` as in the
+  /// 1-D constructor.
+  Grid(const std::array<int, D>& extents, int halo, bool zero_init = true)
+      : Grid(geometry(extents, halo), zero_init) {}
 
  private:
   // One allocation's shape: interior extents and element strides per axis

@@ -6,7 +6,8 @@
 // eliminates. Within distance r of the physical boundary the folded
 // expansion is invalid (the Dirichlet halo never advances in time), so a
 // stepwise correction recomputes that shell: level t+1 over the shell's
-// r-expansion into a private buffer, then t+2 on the shell.
+// r-expansion into a private buffer, then t+2 on the shell — the same two
+// single steps, bit for bit, that a multiple-loads run takes there.
 //
 // 1-D folds transposed rows: the transpose-layout step of Λ, with the APOP
 // source folded to (I + p)·src, then the stepwise ring correction through
@@ -27,13 +28,15 @@
 //      generalization in z.
 //   4. Transpose back and store rows (the optional weighted transpose of
 //      Fig. 5 folded into step 3's coefficients).
-// Alignment tails apply Λ scalar.
+// Everything off the full bands and vector sets runs the multiple-loads step
+// on sub-views: the alignment tails apply Λ, and the shell correction
+// takes two steps of p over each disjoint shell box (fold/region.hpp).
 #include <algorithm>
 #include <array>
 #include <cstdlib>
-#include <utility>
 #include <vector>
 
+#include "fold/region.hpp"
 #include "kernels/stage.hpp"
 #include "simd/transpose.hpp"
 #include "simd/vecd.hpp"
@@ -41,37 +44,35 @@
 namespace sf::detail {
 
 template <int W>
-void folded1d_advance(const RowGroups<W>& folded, const Pattern1D& p,
-                      const Pattern1D* src, const double* k,
-                      const FieldView1D& in, const FieldView1D& out, int lo,
-                      int hi) {
+void folded1d_advance(const RowGroups<W>& folded, const RowGroups<W>& step,
+                      int r, const double* k, const FieldView1D& in,
+                      const FieldView1D& out, int lo, int hi) {
   tl_step<W, 1>(folded, in, out, k, lo, hi);
 
   const int n = in.n();
-  const int r = p.radius();
   if (r == 0) return;
   const double* a = in.data();
   double* o = out.data();
   auto at = [&](const double* row, int i) { return row[tl_index<W>(i, n)]; };
+  // One single step at i, the field read through `level`.
   auto stepwise = [&](int i, auto&& level) {
-    double acc = 0;
-    for (const auto& t : p.taps) acc += t.w * level(i + t.off[0]);
-    if (src != nullptr)
-      for (const auto& t : src->taps) acc += t.w * at(k, i + t.off[0]);
-    return acc;
+    return step.template point<false>([&](std::size_t g, int t) {
+      const int j = i + step.dx[t];
+      return step.groups[g].input == 0 ? level(j) : at(k, j);
+    });
   };
   for (int side = 0; side < 2; ++side) {
     const int r0 = side == 0 ? 0 : std::max(n - r, 0);
     const int r1 = side == 0 ? std::min(r, n) : n;
     if (std::max(r0, lo) >= std::min(r1, hi)) continue;
     const int f0 = std::max(r0 - r, 0), f1 = std::min(r1 + r, n);
-    std::vector<double> t1(static_cast<std::size_t>(f1 - f0));
-    auto level0 = [&](int i) { return at(a, i); };
+    // Level t+1 over the ring's r-expansion: at most 3r points, and the
+    // folded radius 2r is at most folded_max_radius.
+    double t1[2 * folded_max_radius<W, 1>()];
     for (int i = f0; i < f1; ++i)
-      t1[static_cast<std::size_t>(i - f0)] = stepwise(i, level0);
-    auto level1 = [&](int i) {
-      if (i < f0 || i >= f1) return at(a, i);  // halo never advances
-      return t1[static_cast<std::size_t>(i - f0)];
+      t1[i - f0] = stepwise(i, [&](int j) { return at(a, j); });
+    auto level1 = [&](int j) {
+      return j < f0 || j >= f1 ? at(a, j) : t1[j - f0];  // halo never advances
     };
     for (int i = std::max(r0, lo); i < std::min(r1, hi); ++i)
       o[tl_index<W>(i, n)] = stepwise(i, level1);
@@ -91,92 +92,56 @@ int z_reach(const FoldingPlan& plan) {
   return rz;
 }
 
-/// A box of a 2-D or 3-D domain, [lo, hi) per axis, x first; a 2-D box
-/// spans z = [0, 1).
-struct Slab {
-  std::array<int, 3> lo{0, 0, 0}, hi{1, 1, 1};
-  bool empty() const {
-    return lo[0] >= hi[0] || lo[1] >= hi[1] || lo[2] >= hi[2];
-  }
-};
-
-/// Element of `v` at x-first coordinates `c`.
-template <int D>
-double& elem(const FieldView<D>& v, const int* c) {
-  if constexpr (D == 2) return v.at(c[1], c[0]);
-  else return v.at(c[2], c[1], c[0]);
+/// One multiple-loads step of `g` from `in` to `out` over `b`.
+template <int W, int D>
+void box_step(const RowGroups<W>& g, const FieldView<D>& in,
+              const FieldView<D>& out, const Box<D>& b) {
+  if (b.empty()) return;
+  const FieldView<D> o = out.sub(b.lo, b.hi);
+  ml_step(g, in.sub(b.lo, b.hi), o, nullptr, 0, o.outer_extent());
 }
 
-/// Calls `write(c, Σ w·read(c + off))` for every point c of `s`, over the
-/// taps of `p` in pattern order.
-template <int D, class Read, class Write>
-void apply_slab(const Pattern<D>& p, const Slab& s, Read&& read,
-                Write&& write) {
-  int c[3], n[3];
-  for (c[2] = s.lo[2]; c[2] < s.hi[2]; ++c[2])
-    for (c[1] = s.lo[1]; c[1] < s.hi[1]; ++c[1])
-      for (c[0] = s.lo[0]; c[0] < s.hi[0]; ++c[0]) {
-        double acc = 0;
-        for (const auto& t : p.taps) {
-          n[2] = c[2];
-          for (int ax = 0; ax < D; ++ax) n[ax] = c[ax] + t.off[D - 1 - ax];
-          acc += t.w * read(n);
-        }
-        write(c, acc);
-      }
-}
-
-/// The part of `box` within r of the domain boundary of `v`, as one low
-/// and one high slab per axis, x first. Slabs may overlap: the stepwise fix
-/// gives a point the same value in every slab.
-template <int D>
-std::vector<Slab> shell_slabs(const FieldView<D>& v, int r, const Slab& box) {
-  std::vector<Slab> slabs;
-  for (int ax = 0; ax < D; ++ax) {
-    const int n = v.extent(ax);
-    for (const auto& [a, b] : {std::pair{0, std::min(r, n)},
-                               std::pair{std::max(n - r, r), n}}) {
-      Slab s = box;
-      s.lo[ax] = std::max(a, box.lo[ax]);
-      s.hi[ax] = std::min(b, box.hi[ax]);
-      if (!s.empty()) slabs.push_back(s);
-    }
-  }
-  return slabs;
-}
-
-/// Exact two-step update of slab `f2`: t+1 into `buf` over f2's
-/// r-expansion (clipped to the domain), then t+2 over f2. Neighbours
-/// outside the domain read the time-invariant halo of `in`.
-template <int D>
-void shell_fix(const Pattern<D>& p, const FieldView<D>& in,
-               const FieldView<D>& out, const Slab& f2,
-               std::vector<double>& buf) {
-  const int r = p.radius();
-  Slab f1 = f2;
+/// Exact two-step update of shell box `f2` by single steps `g`: t+1 into
+/// `scratch` over f2's r-expansion f1 (clipped to the domain), then t+2
+/// over f2. The scratch's r-halo is copied from `in`, so neighbours
+/// outside the domain read its time-invariant halo. `scratch` is private
+/// to the calling thread and only grows.
+template <int W, int D>
+void shell_step(const RowGroups<W>& g, const FieldView<D>& in,
+                const FieldView<D>& out, const Box<D>& f2,
+                AlignedBuffer& scratch) {
+  const int r = g.radius;
+  Box<D> f1, t2;  // t2: f2 in the scratch's indices
+  std::array<int, D> n{};
+  std::array<std::ptrdiff_t, D> st{};
+  std::size_t size = 1, origin = 0;
   for (int ax = 0; ax < D; ++ax) {
     f1.lo[ax] = std::max(f2.lo[ax] - r, 0);
     f1.hi[ax] = std::min(f2.hi[ax] + r, in.extent(ax));
+    n[ax] = f1.hi[ax] - f1.lo[ax];
+    t2.lo[ax] = f2.lo[ax] - f1.lo[ax];
+    t2.hi[ax] = f2.hi[ax] - f1.lo[ax];
+    st[ax] = static_cast<std::ptrdiff_t>(size);
+    origin += static_cast<std::size_t>(r) * size;
+    size *= static_cast<std::size_t>(n[ax] + 2 * r);
   }
-  const std::size_t fw = f1.hi[0] - f1.lo[0], fh = f1.hi[1] - f1.lo[1];
-  auto slot = [&](const int* c) {
-    return (static_cast<std::size_t>(c[2] - f1.lo[2]) * fh +
-            static_cast<std::size_t>(c[1] - f1.lo[1])) * fw +
-           static_cast<std::size_t>(c[0] - f1.lo[0]);
-  };
-  auto inside = [&](const int* c) {
-    for (int ax = 0; ax < D; ++ax)
-      if (c[ax] < f1.lo[ax] || c[ax] >= f1.hi[ax]) return false;
-    return true;
-  };
-  buf.resize(fw * fh * static_cast<std::size_t>(f1.hi[2] - f1.lo[2]));
-  apply_slab(
-      p, f1, [&](const int* c) { return elem(in, c); },
-      [&](const int* c, double v) { buf[slot(c)] = v; });
-  apply_slab(
-      p, f2,
-      [&](const int* c) { return inside(c) ? buf[slot(c)] : elem(in, c); },
-      [&](const int* c, double v) { elem(out, c) = v; });
+  if (scratch.size() < size) scratch = AlignedBuffer(size);
+  const FieldView<D> t1(scratch.data() + origin, n, st, r);
+  const FieldView<D> from = in.sub(f1.lo, f1.hi);
+  for_each_row(
+      t1, -r, n[D - 1] + r, r,
+      [&](int x0, int x1, bool edge, double* t, const double* i) {
+        if (edge) {
+          std::copy(i + x0, i + x1, t + x0);
+        } else {
+          std::copy(i + x0, i, t + x0);
+          std::copy(i + n[0], i + x1, t + n[0]);
+        }
+      },
+      from);
+  ml_step(g, from, t1, nullptr, 0, n[D - 1]);
+  const FieldView<D> o = out.sub(f2.lo, f2.hi);
+  ml_step(g, t1.sub(t2.lo, t2.hi), o, nullptr, 0, o.outer_extent());
 }
 
 }  // namespace
@@ -189,8 +154,8 @@ std::size_t folded_window_doubles(const FoldingPlan& plan, int nx, int W) {
 }
 
 template <int W, int D>
-void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
-                    const Pattern<D>& lambda, const FieldView<D>& in,
+void folded_advance(const RowGroups<W>& step, const RowGroups<W>& folded,
+                    const FoldingPlan& plan, const FieldView<D>& in,
                     const FieldView<D>& out, AlignedBuffer& window, bool reuse,
                     int lo, int hi) {
   constexpr int kMaxR = folded_max_radius<W, D>();
@@ -205,10 +170,12 @@ void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
   const std::size_t ncols = static_cast<std::size_t>(nxv + 2 * R);
   // The domain with its outer axis clipped to [lo, hi). 2-D: bands over
   // rows [lo, hi) of the one plane; 3-D: over every row, for planes [lo, hi).
-  Slab box;
-  for (int ax = 0; ax < D; ++ax) box.hi[ax] = in.extent(ax);
+  std::array<int, D> ext{};
+  for (int ax = 0; ax < D; ++ax) ext[ax] = in.extent(ax);
+  Box<D> box{{}, ext};
   box.lo[D - 1] = lo;
   box.hi[D - 1] = hi;
+  const int z0 = D == 3 ? lo : 0, z1 = D == 3 ? hi : 1;
   const int nyv = box.hi[1] - (box.hi[1] - box.lo[1]) % W;  // full bands' end
   const std::size_t need = folded_window_doubles(plan, nx, W);
   if (window.size() < need) window = AlignedBuffer(need);
@@ -310,9 +277,9 @@ void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
     // three neighbouring sets of every ring plane are recomputed for each
     // output set.
     if (reuse)
-      for (int q = box.lo[2] - Rz; q < box.lo[2] + Rz; ++q)
+      for (int q = z0 - Rz; q < z0 + Rz; ++q)
         for (int xb = -1; xb <= nbx; ++xb) fill(q, xb);
-    for (int z = box.lo[2]; z < box.hi[2]; ++z) {
+    for (int z = z0; z < z1; ++z) {
       for (Term& t : terms) t.col = cp(z + t.dz, t.src) + t.dx * W;
       if (reuse) {
         fill(z + Rz, -1);
@@ -329,24 +296,21 @@ void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
     }
   }
 
-  // Alignment tails (the columns past the last full set, then the rows
-  // past the last full band), scalar with the folding matrix.
-  auto read_in = [&](const int* c) { return elem(in, c); };
-  auto write_out = [&](const int* c, double v) { elem(out, c) = v; };
-  Slab tail = box;
+  // Alignment tails: the columns past the last full set, then the rows
+  // past the last full band.
+  Box<D> tail = box;
   tail.lo[0] = nxv;
-  apply_slab(lambda, tail, read_in, write_out);
+  box_step(folded, in, out, tail);
   tail.lo[0] = 0;
   tail.hi[0] = nxv;
   tail.lo[1] = nyv;
-  apply_slab(lambda, tail, read_in, write_out);
+  box_step(folded, in, out, tail);
 
-  // Boundary-shell correction over this range. Each slab uses a buffer
-  // private to the call, so concurrent tile updates never share scratch.
-  if (p.radius() > 0) {
-    std::vector<double> buf;
-    for (const Slab& s : shell_slabs(in, p.radius(), box))
-      shell_fix(p, in, out, s, buf);
+  // Boundary-shell correction over this range, each shell point once.
+  if (step.radius > 0) {
+    thread_local AlignedBuffer scratch;
+    for (const Box<D>& s : shell_boxes<D>(ext, step.radius, box))
+      shell_step(step, in, out, s, scratch);
   }
 }
 
@@ -365,16 +329,15 @@ void run_ours2_2d_noreuse(const Pattern2D& p, const FieldView2D& a,
 }
 
 #define SF_INSTANTIATE(W)                                                      \
-  template void folded1d_advance<W>(const RowGroups<W>&, const Pattern1D&,     \
-                                    const Pattern1D*, const double*,           \
-                                    const FieldView1D&, const FieldView1D&,    \
-                                    int, int);                                 \
-  template void folded_advance<W, 2>(const Pattern2D&, const FoldingPlan&,     \
-                                     const Pattern2D&, const FieldView2D&,     \
+  template void folded1d_advance<W>(const RowGroups<W>&, const RowGroups<W>&,  \
+                                    int, const double*, const FieldView1D&,    \
+                                    const FieldView1D&, int, int);             \
+  template void folded_advance<W, 2>(const RowGroups<W>&, const RowGroups<W>&, \
+                                     const FoldingPlan&, const FieldView2D&,   \
                                      const FieldView2D&, AlignedBuffer&, bool, \
                                      int, int);                                \
-  template void folded_advance<W, 3>(const Pattern3D&, const FoldingPlan&,     \
-                                     const Pattern3D&, const FieldView3D&,     \
+  template void folded_advance<W, 3>(const RowGroups<W>&, const RowGroups<W>&, \
+                                     const FoldingPlan&, const FieldView3D&,   \
                                      const FieldView3D&, AlignedBuffer&, bool, \
                                      int, int);                                \
   template void run_ours2_2d<W>(const Pattern2D&, const FieldView2D&,          \

@@ -64,37 +64,6 @@ void naive_step(const RowGroups<W>& g, const FieldView<D>& in,
                      });
 }
 
-// Multiple loads: one unaligned load per tap.
-template <int W, int D>
-void ml_step(const RowGroups<W>& g, const FieldView<D>& in,
-             const FieldView<D>& out, const double* k, int lo, int hi) {
-  for_each_group_row(
-      g, in, out, k, lo, hi, 1,
-      [&](int x0, int x1, double* o, const double* const*,
-          const double* const* taps) {
-        const V<W>* w = g.vw.data();
-        const int nt = static_cast<int>(g.vw.size());
-        int x = x0;
-        // Two vectors per iteration: their FMA chains overlap.
-        for (; x + 2 * W <= x1; x += 2 * W) {
-          V<W> a0 = V<W>::zero(), a1 = V<W>::zero();
-          for (int t = 0; t < nt; ++t) {
-            a0 = V<W>::fma(w[t], V<W>::loadu(taps[t] + x), a0);
-            a1 = V<W>::fma(w[t], V<W>::loadu(taps[t] + x + W), a1);
-          }
-          a0.storeu(o + x);
-          a1.storeu(o + x + W);
-        }
-        for (; x + W <= x1; x += W) {
-          V<W> acc = V<W>::zero();
-          for (int t = 0; t < nt; ++t)
-            acc = V<W>::fma(w[t], V<W>::loadu(taps[t] + x), acc);
-          acc.storeu(o + x);
-        }
-        scalar_span(g, taps, o, x, x1);
-      });
-}
-
 // Data reorganization: three aligned loads per row group, every tap an
 // in-register shift of them. Requires g.radius <= W.
 template <int W, int D>
@@ -202,6 +171,36 @@ constexpr int tl_max_groups() {
 }  // namespace
 
 template <int W, int D>
+void ml_step(const RowGroups<W>& g, const FieldView<D>& in,
+             const FieldView<D>& out, const double* k, int lo, int hi) {
+  for_each_group_row(
+      g, in, out, k, lo, hi, 1,
+      [&](int x0, int x1, double* o, const double* const*,
+          const double* const* taps) {
+        const V<W>* w = g.vw.data();
+        const int nt = static_cast<int>(g.vw.size());
+        int x = x0;
+        // Two vectors per iteration: their FMA chains overlap.
+        for (; x + 2 * W <= x1; x += 2 * W) {
+          V<W> a0 = V<W>::zero(), a1 = V<W>::zero();
+          for (int t = 0; t < nt; ++t) {
+            a0 = V<W>::fma(w[t], V<W>::loadu(taps[t] + x), a0);
+            a1 = V<W>::fma(w[t], V<W>::loadu(taps[t] + x + W), a1);
+          }
+          a0.storeu(o + x);
+          a1.storeu(o + x + W);
+        }
+        for (; x + W <= x1; x += W) {
+          V<W> acc = V<W>::zero();
+          for (int t = 0; t < nt; ++t)
+            acc = V<W>::fma(w[t], V<W>::loadu(taps[t] + x), acc);
+          acc.storeu(o + x);
+        }
+        scalar_span(g, taps, o, x, x1);
+      });
+}
+
+template <int W, int D>
 void tl_step(const RowGroups<W>& g, const FieldView<D>& in,
              const FieldView<D>& out, const double* k, int lo, int hi) {
   constexpr int bs = W * W;
@@ -264,11 +263,11 @@ Stage<W, D>::Stage(const Pattern<D>& p, Method m, int nx,
   groups_ = RowGroups<W>(p, src_);
   const int r = groups_.radius;
   if (method_ == Method::Ours2) {
-    lam_ = power(p, 2);
-    if constexpr (D == 1) {
-      Pattern1D fsrc;  // (I + p) applied to src
+    Pattern1D fsrc;  // 1-D: (I + p) applied to src
+    if constexpr (D == 1)
       if (src_ != nullptr) fsrc = compose(power_sum(p, 2), *src_);
-      folded_ = RowGroups<W>(lam_, src_ != nullptr ? &fsrc : nullptr);
+    folded_ = RowGroups<W>(power(p, 2), src_ != nullptr ? &fsrc : nullptr);
+    if constexpr (D == 1) {
       if (folded_.radius > folded_max_radius<W, 1>()) method_ = Method::Ours;
     } else {
       plan_ = plan_folding(p, 2);
@@ -316,7 +315,8 @@ void Stage<W, D>::step(const FieldView<D>& in, const FieldView<D>& out,
     case Method::Ours: tl_step(groups_, in, out, k_, lo, hi); break;
     case Method::Ours2:
       if constexpr (D == 1) {
-        folded1d_advance<W>(folded_, p_, src_, k_, in, out, lo, hi);
+        folded1d_advance<W>(folded_, groups_, p_.radius(), k_, in, out, lo,
+                            hi);
       } else {
         // The folded window lives in the owning worker's pool arena
         // (allocated there, so its pages sit on the worker's NUMA node;
@@ -325,8 +325,8 @@ void Stage<W, D>::step(const FieldView<D>& in, const FieldView<D>& out,
         thread_local AlignedBuffer tls_window;
         AlignedBuffer& window =
             pool_ != nullptr && wk >= 0 ? pool_->arena(wk) : tls_window;
-        folded_advance<W, D>(p_, plan_, lam_, in, out, window, reuse_, lo,
-                             hi);
+        folded_advance<W, D>(groups_, folded_, plan_, in, out, window,
+                             reuse_, lo, hi);
       }
       break;
     default: naive_step(groups_, in, out, k_, lo, hi); break;
@@ -343,6 +343,8 @@ void Stage<W, D>::remainder(const FieldView<D>& in,
 
 #define SF_INSTANTIATE(W, D)                                             \
   template class Stage<W, D>;                                            \
+  template void ml_step<W, D>(const RowGroups<W>&, const FieldView<D>&, \
+                              const FieldView<D>&, const double*, int, int); \
   template void tl_step<W, D>(const RowGroups<W>&, const FieldView<D>&, \
                               const FieldView<D>&, const double*, int, int);
 SF_INSTANTIATE(1, 1)

@@ -35,8 +35,10 @@
 //    the tiled engine passes its wedge schedule as the sweep.
 //
 //  * The folded (m = 2) advance is one body for 2-D and 3-D
-//    (folded.cpp): a 2-D run is a 3-D run with one plane and no z-reach,
-//    and one stepwise shell correction over FieldView<D> serves both.
+//    (folded.cpp): a 2-D run is a 3-D run with one plane and no z-reach.
+//    Off the full bands it reuses the multiple-loads step on sub-views:
+//    one step of Λ on the alignment tails, and two single steps on each
+//    box of the boundary shell.
 //
 // What stays per dimension is what genuinely differs: the 1-D folded
 // advance, which folds transposed rows (folded.cpp), and the registration
@@ -166,6 +168,14 @@ struct RowGroups {
   }
 };
 
+/// One multiple-loads step over [lo, hi) of the outer axis: one unaligned
+/// load per tap, row tails scalar. Natural layout; on sub-views
+/// (FieldView::sub) it steps any box, which is how the folded advance
+/// takes its alignment tails and boundary shell.
+template <int W, int D>
+void ml_step(const RowGroups<W>& g, const FieldView<D>& in,
+             const FieldView<D>& out, const double* k, int lo, int hi);
+
 /// One transpose-layout step over [lo, hi) of the outer axis; the rows of
 /// `in`, `out` and the 1-D source row `k` are in the transpose layout.
 /// Whole vector sets go vectorized, partial ones scalar through the index
@@ -216,8 +226,7 @@ class Stage {
   std::optional<Grid1D> staging_;   // private copy of `k` in layout
   const double* k_ = nullptr;       // the source array step() reads
   RowGroups<W> groups_;             // p (+ src): every single step
-  RowGroups<W> folded_;             // 1-D Ours2: power(p, 2) (+ folded src)
-  Pattern<D> lam_;                  // 2-D/3-D Ours2: power(p, 2)
+  RowGroups<W> folded_;             // Ours2: power(p, 2) (+ folded src)
   FoldingPlan plan_;
   WorkerPool* pool_;
   bool reuse_;
@@ -326,12 +335,12 @@ KernelInfo kernel_entry(Isa isa, int halo_floor = 0, int max_radius = 0,
 
 /// 1-D: the transpose-layout step of power(p, 2) (`folded`, with the
 /// folded source (I + p)·src) followed by the stepwise ring correction of
-/// p (+ src) on transposed rows.
+/// width r = p.radius() by the single steps `step` (p + src) on transposed
+/// rows.
 template <int W>
-void folded1d_advance(const RowGroups<W>& folded, const Pattern1D& p,
-                      const Pattern1D* src, const double* k,
-                      const FieldView1D& in, const FieldView1D& out, int lo,
-                      int hi);
+void folded1d_advance(const RowGroups<W>& folded, const RowGroups<W>& step,
+                      int r, const double* k, const FieldView1D& in,
+                      const FieldView1D& out, int lo, int hi);
 
 /// Doubles the 2-D/3-D folded window needs for a domain of row extent `nx`
 /// at SIMD width `W`: a ring of 2·Rz+1 planes (Rz the plan's z-reach, 0 in
@@ -343,13 +352,15 @@ std::size_t folded_window_doubles(const FoldingPlan& plan, int nx, int W);
 
 /// 2-D and 3-D: the paper's Fig. 5 pipeline per W-row band, a 2-D run
 /// being one plane with no z-reach; bands cover rows [lo, hi) in 2-D and
-/// every row of planes [lo, hi) in 3-D. `window` holds the counterpart
-/// ring; it must be private to the calling thread and is grown to
-/// folded_window_doubles() when smaller. `reuse` toggles the shifts reuse
-/// (the §3.4 ablation). Requires plan.radius <= folded_max_radius<W, D>().
+/// every row of planes [lo, hi) in 3-D. The alignment tails take one
+/// multiple-loads step of `folded` (power(p, 2)), and the boundary shell
+/// two of `step` (p). `window` holds the counterpart ring; it must be
+/// private to the calling thread and is grown to folded_window_doubles()
+/// when smaller. `reuse` toggles the shifts reuse (the §3.4 ablation).
+/// Requires plan.radius <= folded_max_radius<W, D>().
 template <int W, int D>
-void folded_advance(const Pattern<D>& p, const FoldingPlan& plan,
-                    const Pattern<D>& lambda, const FieldView<D>& in,
+void folded_advance(const RowGroups<W>& step, const RowGroups<W>& folded,
+                    const FoldingPlan& plan, const FieldView<D>& in,
                     const FieldView<D>& out, AlignedBuffer& window, bool reuse,
                     int lo, int hi);
 

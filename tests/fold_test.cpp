@@ -2,6 +2,10 @@
 // and the boundary-corrected folded executors.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include "fold/cost_model.hpp"
 #include "fold/folded_ref.hpp"
 #include "fold/folding_plan.hpp"
@@ -143,50 +147,80 @@ TEST(FoldingPlan, ThreeDSharedBasis) {
 // ---------------------------------------------------------------------------
 // Region decomposition
 // ---------------------------------------------------------------------------
-TEST(Region, FrameSegsDisjointCover) {
-  auto segs = frame_segs(100, 7);
-  ASSERT_EQ(segs.size(), 2u);
-  EXPECT_EQ(segs[0].a, 0);
-  EXPECT_EQ(segs[0].b, 7);
-  EXPECT_EQ(segs[1].a, 93);
-  EXPECT_EQ(segs[1].b, 100);
-  auto merged = frame_segs(10, 6);  // 2w >= n: single segment
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].a, 0);
-  EXPECT_EQ(merged[0].b, 10);
-}
-
-TEST(Region, FrameRectsCoverExactly) {
-  const int ny = 30, nx = 20, w = 4;
-  std::vector<int> cnt(static_cast<std::size_t>(ny) * nx, 0);
-  for (const Rect& r : frame_rects(ny, nx, w))
-    for (int y = r.y0; y < r.y1; ++y)
-      for (int x = r.x0; x < r.x1; ++x) cnt[static_cast<std::size_t>(y) * nx + x]++;
-  for (int y = 0; y < ny; ++y)
-    for (int x = 0; x < nx; ++x) {
-      const bool in_frame =
-          y < w || y >= ny - w || x < w || x >= nx - w;
-      EXPECT_EQ(cnt[static_cast<std::size_t>(y) * nx + x], in_frame ? 1 : 0)
-          << y << "," << x;
-    }
-}
-
-TEST(Region, FrameBoxesCoverExactly) {
-  const int nz = 12, ny = 10, nx = 14, w = 3;
-  std::vector<int> cnt(static_cast<std::size_t>(nz) * ny * nx, 0);
-  for (const Box& b : frame_boxes(nz, ny, nx, w))
-    for (int z = b.z0; z < b.z1; ++z)
-      for (int y = b.y0; y < b.y1; ++y)
-        for (int x = b.x0; x < b.x1; ++x)
-          cnt[(static_cast<std::size_t>(z) * ny + y) * nx + x]++;
-  for (int z = 0; z < nz; ++z)
-    for (int y = 0; y < ny; ++y)
-      for (int x = 0; x < nx; ++x) {
-        const bool in_shell = z < w || z >= nz - w || y < w || y >= ny - w ||
-                              x < w || x >= nx - w;
-        EXPECT_EQ(cnt[(static_cast<std::size_t>(z) * ny + y) * nx + x],
-                  in_shell ? 1 : 0);
+/// Checks that shell_boxes(n, w, clip) counts every point of `clip` within
+/// distance < w of the boundary of [0, n) exactly once, and every other
+/// point of the domain zero times.
+template <int D>
+void expect_shell_covers_exactly(const std::array<int, D>& n, int w,
+                                 const Box<D>& clip) {
+  std::size_t total = 1;
+  for (int e : n) total *= static_cast<std::size_t>(e);
+  std::vector<int> cnt(total, 0);
+  auto index = [&](const std::array<int, D>& c) {
+    std::size_t i = 0;
+    for (int ax = D - 1; ax >= 0; --ax) i = i * n[ax] + c[ax];
+    return i;
+  };
+  for (const Box<D>& b : shell_boxes<D>(n, w, clip)) {
+    ASSERT_FALSE(b.empty());
+    std::array<int, D> c = b.lo;
+    while (c[D - 1] < b.hi[D - 1]) {
+      cnt[index(c)]++;
+      for (int ax = 0; ax < D; ++ax) {  // odometer, x fastest
+        if (++c[ax] < b.hi[ax] || ax == D - 1) break;
+        c[ax] = b.lo[ax];
       }
+    }
+  }
+  std::array<int, D> c{};
+  for (std::size_t i = 0; i < total; ++i) {
+    std::size_t rest = i;
+    bool in_clip = true, in_shell = false;
+    for (int ax = 0; ax < D; ++ax) {
+      c[ax] = static_cast<int>(rest % n[ax]);
+      rest /= n[ax];
+      in_clip = in_clip && c[ax] >= clip.lo[ax] && c[ax] < clip.hi[ax];
+      in_shell = in_shell || c[ax] < w || c[ax] >= n[ax] - w;
+    }
+    EXPECT_EQ(cnt[index(c)], in_clip && in_shell ? 1 : 0) << "point " << i;
+  }
+}
+
+template <int D>
+Box<D> whole(const std::array<int, D>& n) {
+  return Box<D>{{}, n};
+}
+
+TEST(Region, ShellCoversExactly1D) {
+  expect_shell_covers_exactly<1>({100}, 7, whole<1>({100}));
+  expect_shell_covers_exactly<1>({10}, 6, whole<1>({10}));  // 2w >= n
+  EXPECT_EQ(shell_boxes<1>({100}, 7, whole<1>({100})).size(), 2u);
+}
+
+TEST(Region, ShellCoversExactly2D) {
+  expect_shell_covers_exactly<2>({20, 30}, 4, whole<2>({20, 30}));
+  expect_shell_covers_exactly<2>({5, 3}, 2, whole<2>({5, 3}));  // all shell
+}
+
+TEST(Region, ShellCoversExactly3D) {
+  expect_shell_covers_exactly<3>({14, 10, 12}, 3, whole<3>({14, 10, 12}));
+  EXPECT_EQ(shell_boxes<3>({14, 10, 12}, 3, whole<3>({14, 10, 12})).size(),
+            6u);
+}
+
+TEST(Region, ShellClippedOnOuterAxis) {
+  // A tile of the outer axis: only its share of the shell, still disjoint.
+  for (const auto& [lo, hi] : {std::pair{0, 5}, std::pair{2, 9},
+                               std::pair{8, 12}, std::pair{4, 4}}) {
+    Box<3> clip = whole<3>({14, 10, 12});
+    clip.lo[2] = lo;
+    clip.hi[2] = hi;
+    expect_shell_covers_exactly<3>({14, 10, 12}, 3, clip);
+    Box<2> clip2 = whole<2>({20, 12});
+    clip2.lo[1] = lo;
+    clip2.hi[1] = hi;
+    expect_shell_covers_exactly<2>({20, 12}, 4, clip2);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,7 +240,7 @@ TEST_P(Folded1D, MatchesReference) {
   copy(a, rb);
 
   run_reference(spec.p1, ra, rb, tsteps);
-  FoldedRunner1D fold(spec.p1, m, n);
+  FoldedRunner<1> fold(spec.p1, m);
   fold.run(a, b, tsteps);
 
   EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)))
@@ -231,7 +265,7 @@ TEST(Folded1D, WithSourceTerm) {
 
   const FieldView1D kv = k.view();
   run_reference(spec.p1, ra, rb, tsteps, &spec.src1, &kv);
-  FoldedRunner1D fold(spec.p1, 2, n, &spec.src1);
+  FoldedRunner<1> fold(spec.p1, 2, &spec.src1);
   fold.run(a, b, tsteps, &k);
 
   EXPECT_LE(max_abs_diff(a, ra), 1e-12);
@@ -251,7 +285,7 @@ TEST_P(Folded2D, MatchesReference) {
   copy(a, rb);
 
   run_reference(spec.p2, ra, rb, tsteps);
-  FoldedRunner2D fold(spec.p2, m, ny, nx);
+  FoldedRunner<2> fold(spec.p2, m);
   fold.run(a, b, tsteps);
 
   EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)));
@@ -274,17 +308,18 @@ TEST(Folded2D, TinyGridAllRing) {
   copy(a, ra);
   copy(a, rb);
   run_reference(spec.p2, ra, rb, tsteps);
-  FoldedRunner2D fold(spec.p2, m, ny, nx);
+  FoldedRunner<2> fold(spec.p2, m);
   fold.run(a, b, tsteps);
   EXPECT_LE(max_abs_diff(a, ra), 1e-12);
 }
 
-class Folded3D : public ::testing::TestWithParam<std::tuple<Preset, int>> {};
+class Folded3D
+    : public ::testing::TestWithParam<std::tuple<Preset, int, int>> {};
 
 TEST_P(Folded3D, MatchesReference) {
-  const auto [id, tsteps] = GetParam();
+  const auto [id, m, tsteps] = GetParam();
   const auto& spec = preset(id);
-  const int nz = 12, ny = 14, nx = 16, m = 2;
+  const int nz = 12, ny = 14, nx = 16;
   const int halo = std::max(8, m * spec.p3.radius());
   Grid3D a(nz, ny, nx, halo), b(nz, ny, nx, halo);
   Grid3D ra(nz, ny, nx, halo), rb(nz, ny, nx, halo);
@@ -294,7 +329,7 @@ TEST_P(Folded3D, MatchesReference) {
   copy(a, rb);
 
   run_reference(spec.p3, ra, rb, tsteps);
-  FoldedRunner3D fold(spec.p3, m, nz, ny, nx);
+  FoldedRunner<3> fold(spec.p3, m);
   fold.run(a, b, tsteps);
 
   EXPECT_LE(max_abs_diff(a, ra), 1e-12 * std::max(1.0, max_abs(ra)));
@@ -303,6 +338,7 @@ TEST_P(Folded3D, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Sweep, Folded3D,
                          ::testing::Combine(::testing::Values(Preset::Heat3D,
                                                               Preset::Box3D27),
+                                            ::testing::Values(2, 3),
                                             ::testing::Values(2, 3, 4)));
 
 }  // namespace

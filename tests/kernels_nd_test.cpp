@@ -6,6 +6,7 @@
 //  * Seeded random patterns at r = 1, at the registry's max_radius and one
 //    beyond it (where the kernel falls back internally) match the naive
 //    reference, untiled and through the tiled stage at tiled_max_radius.
+//  * Ours-2step's boundary shell is two single steps, bit for bit.
 //  * Every run stays inside the addressable span of the caller's views.
 #include <gtest/gtest.h>
 #include <sanitizer/asan_interface.h>
@@ -257,6 +258,113 @@ void sweep_tiled_radius_caps() {
 TEST(KernelsND, TiledRadiusCaps1D) { sweep_tiled_radius_caps<1>(); }
 TEST(KernelsND, TiledRadiusCaps2D) { sweep_tiled_radius_caps<2>(); }
 TEST(KernelsND, TiledRadiusCaps3D) { sweep_tiled_radius_caps<3>(); }
+
+/// Interior points of `a` and `b` (same extents) within distance < r of the
+/// boundary that differ in any bit.
+template <int D>
+long shell_mismatches(const FieldView<D>& a, const FieldView<D>& b, int r) {
+  std::array<int, 3> e{1, 1, 1}, c{};
+  for (int ax = 0; ax < D; ++ax) e[ax] = a.extent(ax);
+  long n = 0;
+  for (c[2] = 0; c[2] < e[2]; ++c[2])
+    for (c[1] = 0; c[1] < e[1]; ++c[1])
+      for (c[0] = 0; c[0] < e[0]; ++c[0]) {
+        bool shell = false;
+        std::ptrdiff_t oa = 0, ob = 0;
+        for (int ax = 0; ax < D; ++ax) {
+          shell = shell || c[ax] < r || c[ax] >= e[ax] - r;
+          oa += c[ax] * a.axis_stride(ax);
+          ob += c[ax] * b.axis_stride(ax);
+        }
+        n += shell && std::memcmp(a.data() + oa, b.data() + ob,
+                                  sizeof(double)) != 0;
+      }
+  return n;
+}
+
+/// Runs two steps of `spec` with ours-2step (untiled, or with `tile` > 0
+/// through the tiled stage on two workers) and with multiple-loads, and
+/// checks that the boundary shell agrees bit for bit. The 1-D APOP ring
+/// sums p and its source in one chain, as the transpose-layout step does,
+/// so it is checked against that step instead: multiple-loads' scalar row
+/// tail adds the source apart (RowGroups::point<true>).
+template <int D>
+void expect_folded_shell_is_two_steps(const StencilSpec& spec, Isa isa,
+                                      const std::vector<int>& ext, int tile,
+                                      std::uint64_t seed = 5) {
+  const Pattern<D>& p = [&]() -> const Pattern<D>& {
+    if constexpr (D == 1) return spec.p1;
+    else if constexpr (D == 2) return spec.p2;
+    else return spec.p3;
+  }();
+  const KernelInfo& k2 = require_kernel(Method::Ours2, D, isa);
+  const KernelInfo& single = require_kernel(
+      D == 1 && spec.has_source ? Method::Ours : Method::MultipleLoads, D,
+      isa);
+  const int halo = std::max(k2.required_halo(p.radius()),
+                            single.required_halo(p.radius()));
+  Field<D> a(ext, halo), b(ext, halo), sa(ext, halo), sb(ext, halo);
+  Field<1> kf({ext.back()}, halo);
+  fill_random(a.g, seed + ext.back());
+  fill_random(kf.g, seed + 1);
+  copy(a.g, b.g);
+  copy(a.g, sa.g);
+  copy(a.g, sb.g);
+  const FieldView1D kv = kf.g.view();
+  const Pattern1D* src = D == 1 && spec.has_source ? &spec.src1 : nullptr;
+  const FieldView<D>* kk = nullptr;
+  if constexpr (D == 1) kk = src != nullptr ? &kv : nullptr;
+  if (tile > 0) {
+    TilePlan plan;
+    plan.method = Method::Ours2;
+    plan.isa = isa;
+    plan.threads = 2;
+    plan.tile = tile;
+    run_tile_plan<D>(p, a.g, b.g, src, kk, 2, plan);
+  } else {
+    k2.run<D>(p, a.g, b.g, src, kk, 2);
+  }
+  single.run<D>(p, sa.g, sb.g, src, kk, 2);
+  std::string shape;
+  for (int e : ext) shape += std::to_string(e) + " ";
+  EXPECT_EQ(shell_mismatches<D>(a.g, sa.g, p.radius()), 0)
+      << spec.name << " " << isa_name(isa) << " extents " << shape
+      << (tile > 0 ? "tiled" : "untiled") << " seed " << seed;
+}
+
+TEST(KernelsND, FoldedShellIsTwoSingleSteps) {
+  // Ours-2step recomputes the points within r of the boundary as two
+  // single steps, the very steps multiple-loads takes there; only the
+  // folded interior reassociates. Extents outermost first: x tails and
+  // partial bands, tiny domains (nx < W, ny < W, n < 2r), and tiled runs
+  // whose wedges clip the shell on the outer axis.
+  for (Isa isa : kIsas) {
+    if (!isa_runs(isa)) continue;
+    for (const StencilSpec& spec : all_presets()) {
+      // A 1-D ring holds only 2r points per run, so it takes many draws
+      // to see a last-bit difference.
+      if (spec.dims == 1)
+        for (std::uint64_t seed = 0; seed < 64; ++seed)
+          for (int n : {203, 64, 7, 3}) {
+            expect_folded_shell_is_two_steps<1>(spec, isa, {n}, 0, seed);
+            if (n > 100)
+              expect_folded_shell_is_two_steps<1>(spec, isa, {n}, n / 3, seed);
+          }
+      if (spec.dims == 2) {
+        for (const std::vector<int>& e : std::vector<std::vector<int>>{
+                 {37, 41}, {24, 67}, {13, 5}, {3, 19}, {2, 2}})
+          expect_folded_shell_is_two_steps<2>(spec, isa, e, 0);
+        expect_folded_shell_is_two_steps<2>(spec, isa, {60, 41}, 20);
+      }
+      if (spec.dims == 3) {
+        for (const std::vector<int>& e : std::vector<std::vector<int>>{
+                 {7, 9, 21}, {13, 11, 40}, {3, 4, 5}, {2, 9, 3}})
+          expect_folded_shell_is_two_steps<3>(spec, isa, e, 0);
+        expect_folded_shell_is_two_steps<3>(spec, isa, {30, 9, 21}, 10);
+      }
+    }
+  }
+}
 
 /// A caller-owned field of extents `n` (x first) at halo `h`, with every
 /// double outside the view's addressable span — from the first halo cell
