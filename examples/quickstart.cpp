@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   //    temporal computation folding (m = 2); Tiling::On = temporal split
   //    tiling across all cores with auto-negotiated tile geometry (add
   //    .tune(true) to measure-and-cache the best tile instead). Leaving the
-  //    method unset (Method::Auto) would let the fold cost model pick, and
-  //    leaving tiling at Tiling::Auto lets the planner's cost model decide.
+  //    method unset (Method::Auto) would run multiple-loads, and leaving
+  //    tiling at Tiling::Auto lets the planner's cost model decide.
   Solver solver = Solver::make(Preset::Heat2D)
                       .size(n, n)
                       .steps(steps)

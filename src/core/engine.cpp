@@ -13,7 +13,6 @@
 
 #include "common/env.hpp"
 #include "core/tuner.hpp"
-#include "fold/cost_model.hpp"
 #include "grid/grid_utils.hpp"
 #include "layout/transpose_layout.hpp"
 #include "telemetry/telemetry.hpp"
@@ -37,31 +36,12 @@ double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz) {
   });
 }
 
-namespace {
-
-bool fold_profitable(const StencilSpec& s, int m) {
-  return s.visit([m](const auto& p) {
-    return profitability(p, m).index_vec() > 1.0;
-  });
-}
-
-}  // namespace
-
 Method auto_method(const StencilSpec& spec, Isa isa) {
-  const int r = effective_radius(spec);
-  // Deepest fold first: fold when the cost model says the folded collect
-  // beats the naive expansion *and* the folded vector path engages at this
-  // radius. Then the paper's single-step ordering (Table 2):
-  // ours > dlt > data-reorg > multiple-loads > naive.
-  const KernelInfo* folded = find_kernel(Method::Ours2, spec.dims, isa);
-  if (folded != nullptr && folded->supports(r) &&
-      fold_profitable(spec, folded->fold_depth))
-    return Method::Ours2;
-  for (Method m : {Method::Ours, Method::DLT, Method::DataReorg,
-                   Method::MultipleLoads}) {
-    const KernelInfo* k = find_kernel(m, spec.dims, isa);
-    if (k != nullptr && k->supports(r)) return m;
-  }
+  // Multiple-loads engages at any radius at every ISA, tiles, and was the
+  // fastest method at every shape measured (docs/BENCHMARKS.md). The
+  // paper's methods run when requested by name.
+  if (find_kernel(Method::MultipleLoads, spec.dims, isa) != nullptr)
+    return Method::MultipleLoads;
   return Method::Naive;
 }
 

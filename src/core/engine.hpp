@@ -299,9 +299,10 @@ FieldView<D> to_natural_layout(const PreparedStencil& ps, FieldView<D> v);
 /// Useful FLOPs per time step for a stencil at the given size.
 double flops_per_step(const StencilSpec& spec, long nx, long ny, long nz);
 
-/// The method Auto resolves to for this stencil at this ISA: the deepest
-/// profitable fold (paper Eq. 3) whose vector path engages at the pattern's
-/// radius, falling back through the paper's method ordering.
+/// The method Auto resolves to for this stencil at this ISA:
+/// multiple-loads, or naive if no multiple-loads kernel is registered.
+/// The paper's methods (ours, ours-2step, DLT, data-reorg) run when
+/// requested by name.
 Method auto_method(const StencilSpec& spec, Isa isa);
 
 }  // namespace sf

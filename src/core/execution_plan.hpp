@@ -79,7 +79,7 @@ enum class HaloPolicy {
 /// resolved record, which the planner, the plan cache and the plan key all
 /// read. Adding an axis means adding a field here and to fields().
 struct ExecOptions {
-  Method method = Method::Auto;  ///< Kernel method (Auto = fold cost model).
+  Method method = Method::Auto;  ///< Kernel method (Auto = auto_method()).
   Isa isa = Isa::Auto;           ///< ISA level (Auto = widest supported).
   Tiling tiling = Tiling::Auto;  ///< Split-tiling policy.
   int threads = 0;     ///< Pool workers for tiled stages (0 = default).

@@ -123,7 +123,7 @@ class Solver {
   Solver& size(long nx, long ny = 0, long nz = 0);
   /// Time-step horizon (0 = the preset's fast-run default).
   Solver& steps(int tsteps);
-  /// Vectorization/folding method (Method::Auto = fold cost model).
+  /// Vectorization/folding method (Method::Auto = auto_method()).
   Solver& method(Method m);
   /// Method by registry string key ("auto" included).
   Solver& method(const std::string& name);
@@ -177,7 +177,7 @@ class Solver {
   /// The stencil being solved.
   const StencilSpec& spec() const { return cfg_.spec; }
   /// Prepares the run through the process-wide Engine: selects the kernel
-  /// (resolving Method::Auto via the cost model), fills defaulted
+  /// (resolving Method::Auto via auto_method()), fills defaulted
   /// sizes/steps, and captures the execution plan in a PreparedStencil.
   /// Throws std::invalid_argument if no kernel is registered for the
   /// request. Idempotent.

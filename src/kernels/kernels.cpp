@@ -44,13 +44,15 @@ void for_each_group_row(const RowGroups<W>& g, const FieldView<D>& in,
       in);
 }
 
-/// The reference, point by point over [x0, x1) of one row (`taps` at
-/// scale 1).
-template <int W>
+/// Point by point over [x0, x1) of one row (`taps` at scale 1). With
+/// `kSplit` the 1-D source term is summed apart, as the reference does;
+/// without it every tap continues one chain, as the vector bodies do, so a
+/// point's bits do not depend on whether it falls in a row's tail.
+template <bool kSplit, int W>
 void scalar_span(const RowGroups<W>& g, const double* const* taps, double* o,
                  int x0, int x1) {
   for (int x = x0; x < x1; ++x)
-    o[x] = g.template point<true>(
+    o[x] = g.template point<kSplit>(
         [&](std::size_t, int t) { return taps[t][x]; });
 }
 
@@ -60,7 +62,7 @@ void naive_step(const RowGroups<W>& g, const FieldView<D>& in,
   for_each_group_row(g, in, out, k, lo, hi, 1,
                      [&](int x0, int x1, double* o, const double* const*,
                          const double* const* taps) {
-                       scalar_span(g, taps, o, x0, x1);
+                       scalar_span<true>(g, taps, o, x0, x1);
                      });
 }
 
@@ -108,7 +110,7 @@ void dr_step(const RowGroups<W>& g, const FieldView<D>& in,
           }
           acc.storeu(o + x);
         }
-        scalar_span(g, taps, o, x, x1);
+        scalar_span<false>(g, taps, o, x, x1);
       });
 }
 
@@ -196,7 +198,7 @@ void ml_step(const RowGroups<W>& g, const FieldView<D>& in,
             acc = V<W>::fma(w[t], V<W>::loadu(taps[t] + x), acc);
           acc.storeu(o + x);
         }
-        scalar_span(g, taps, o, x, x1);
+        scalar_span<false>(g, taps, o, x, x1);
       });
 }
 
@@ -378,11 +380,12 @@ using detail::kernel_entry;
 //    the per-call involution).
 // Naive is ISA-independent scalar code; it is registered at every level so
 // exact-ISA lookups succeed, with width 1 reflecting how it executes.
-// Tileability (tiled_max_radius): Naive wedge-tiles at any radius;
-// multiple-loads/data-reorg have no tiled stage; DLT tiles rows/planes at
-// any radius (its lifted-row-count precondition is shape-dependent and
-// checked by tiled_path_engages) but not 1-D columns (the lifted seam
-// couples column 0 to column L-1); ours tiles while r fits its window.
+// Tileability (tiled_max_radius): naive and multiple-loads wedge-tile at
+// any radius (their step is the same [lo, hi) region step split tiling
+// calls); data-reorg has no tiled stage; DLT tiles rows/planes at any
+// radius (its lifted-row-count precondition is shape-dependent and checked
+// by tiled_path_engages) but not 1-D columns (the lifted seam couples
+// column 0 to column L-1); ours tiles while r fits its window.
 // ---------------------------------------------------------------------------
 template <int D>
 KernelRegistrar single_step_entries() {
@@ -393,9 +396,9 @@ KernelRegistrar single_step_entries() {
       kernel_entry<M::Naive, 1, D>(Isa::Scalar, 0, 0, 0),
       kernel_entry<M::Naive, 1, D>(Isa::Avx2, 0, 0, 0),
       kernel_entry<M::Naive, 1, D>(Isa::Avx512, 0, 0, 0),
-      kernel_entry<M::MultipleLoads, 1, D>(Isa::Scalar),
-      kernel_entry<M::MultipleLoads, 4, D>(Isa::Avx2),
-      kernel_entry<M::MultipleLoads, 8, D>(Isa::Avx512),
+      kernel_entry<M::MultipleLoads, 1, D>(Isa::Scalar, 0, 0, 0),
+      kernel_entry<M::MultipleLoads, 4, D>(Isa::Avx2, 0, 0, 0),
+      kernel_entry<M::MultipleLoads, 8, D>(Isa::Avx512, 0, 0, 0),
       kernel_entry<M::DataReorg, 1, D>(Isa::Scalar, /*halo_floor=*/1,
                                        /*max_radius=*/1),
       kernel_entry<M::DataReorg, 4, D>(Isa::Avx2, 4, 4),

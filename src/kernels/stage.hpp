@@ -169,9 +169,10 @@ struct RowGroups {
 };
 
 /// One multiple-loads step over [lo, hi) of the outer axis: one unaligned
-/// load per tap, row tails scalar. Natural layout; on sub-views
-/// (FieldView::sub) it steps any box, which is how the folded advance
-/// takes its alignment tails and boundary shell.
+/// load per tap, row tails scalar in the same FMA chain. Natural layout;
+/// on sub-views (FieldView::sub) it steps any box, which is how the folded
+/// advance takes its alignment tails and boundary shell, and over any
+/// [lo, hi) it is the split-tiling wedge advance.
 template <int W, int D>
 void ml_step(const RowGroups<W>& g, const FieldView<D>& in,
              const FieldView<D>& out, const double* k, int lo, int hi);

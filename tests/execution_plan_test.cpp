@@ -133,14 +133,14 @@ TEST(ExecutionPlan, OffAndNonTileableKernelsStayUntiled) {
   EXPECT_FALSE(off.plan().tiled);
   EXPECT_EQ(off.plan().source, PlanSource::Untiled);
 
-  // multiple-loads has no tiled stage: Tiling::On degrades to untiled.
-  Solver ml = Solver::make(Preset::Heat2D)
+  // data-reorg has no tiled stage: Tiling::On degrades to untiled.
+  Solver dr = Solver::make(Preset::Heat2D)
                   .size(512, 384)
                   .steps(16)
-                  .method(Method::MultipleLoads)
+                  .method(Method::DataReorg)
                   .tiling(Tiling::On);
-  EXPECT_FALSE(ml.plan().tiled);
-  RunResult r = ml.run_verified();
+  EXPECT_FALSE(dr.plan().tiled);
+  RunResult r = dr.run_verified();
   EXPECT_LE(r.max_error, 1e-11);
 }
 
@@ -318,8 +318,14 @@ TEST(Registry, TileabilityMetadata) {
   EXPECT_TRUE(naive.tileable(5));  // any radius
   EXPECT_EQ(naive.wedge_slope(2), 2);
 
-  EXPECT_FALSE(require_kernel(Method::MultipleLoads, 2, Isa::Avx2).tileable(1));
-  EXPECT_FALSE(require_kernel(Method::DataReorg, 1, Isa::Avx2).tileable(1));
+  // Multiple-loads tiles at any radius in every dimension; data-reorg
+  // has no tiled stage.
+  for (int dims = 1; dims <= 3; ++dims) {
+    EXPECT_TRUE(require_kernel(Method::MultipleLoads, dims, Isa::Avx2)
+                    .tileable(5));
+    EXPECT_FALSE(
+        require_kernel(Method::DataReorg, dims, Isa::Avx2).tileable(1));
+  }
   // DLT tiles in 2-D/3-D but never in 1-D (lifted-seam coupling).
   EXPECT_TRUE(require_kernel(Method::DLT, 2, Isa::Avx2).tileable(1));
   EXPECT_FALSE(require_kernel(Method::DLT, 1, Isa::Avx2).tileable(1));
@@ -419,7 +425,9 @@ TEST(Tuner, RecordsPairAndThreadAxis) {
   // Whatever was recorded deploys: the executed plan carries it.
   EXPECT_EQ(s.plan().tile.tile, hit->tile);
   EXPECT_EQ(s.plan().tile.time_block, hit->time_block);
-  if (hit->threads > 0) EXPECT_EQ(s.plan().tile.threads, hit->threads);
+  if (hit->threads > 0) {
+    EXPECT_EQ(s.plan().tile.threads, hit->threads);
+  }
 
   // A fresh Solver recalls and deploys the identical geometry.
   Solver again = Solver::make(Preset::Heat2D)

@@ -7,6 +7,7 @@
 //    beyond it (where the kernel falls back internally) match the naive
 //    reference, untiled and through the tiled stage at tiled_max_radius.
 //  * Ours-2step's boundary shell is two single steps, bit for bit.
+//  * Split-tiled multiple-loads gives the untiled bits.
 //  * Every run stays inside the addressable span of the caller's views.
 #include <gtest/gtest.h>
 #include <sanitizer/asan_interface.h>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -285,9 +287,8 @@ long shell_mismatches(const FieldView<D>& a, const FieldView<D>& b, int r) {
 /// Runs two steps of `spec` with ours-2step (untiled, or with `tile` > 0
 /// through the tiled stage on two workers) and with multiple-loads, and
 /// checks that the boundary shell agrees bit for bit. The 1-D APOP ring
-/// sums p and its source in one chain, as the transpose-layout step does,
-/// so it is checked against that step instead: multiple-loads' scalar row
-/// tail adds the source apart (RowGroups::point<true>).
+/// sums p and its source in one chain, as every multiple-loads point does,
+/// vector body and scalar row tail alike.
 template <int D>
 void expect_folded_shell_is_two_steps(const StencilSpec& spec, Isa isa,
                                       const std::vector<int>& ext, int tile,
@@ -298,9 +299,7 @@ void expect_folded_shell_is_two_steps(const StencilSpec& spec, Isa isa,
     else return spec.p3;
   }();
   const KernelInfo& k2 = require_kernel(Method::Ours2, D, isa);
-  const KernelInfo& single = require_kernel(
-      D == 1 && spec.has_source ? Method::Ours : Method::MultipleLoads, D,
-      isa);
+  const KernelInfo& single = require_kernel(Method::MultipleLoads, D, isa);
   const int halo = std::max(k2.required_halo(p.radius()),
                             single.required_halo(p.radius()));
   Field<D> a(ext, halo), b(ext, halo), sa(ext, halo), sb(ext, halo);
@@ -363,6 +362,76 @@ TEST(KernelsND, FoldedShellIsTwoSingleSteps) {
         expect_folded_shell_is_two_steps<3>(spec, isa, {30, 9, 21}, 10);
       }
     }
+  }
+}
+
+/// Runs `tsteps` steps of `spec` with multiple-loads through the Engine,
+/// untiled and split-tiled (Tiling::On, `threads` workers, a third of the
+/// outer extent per tile), from the same random field and, for APOP, the
+/// same random source array, and checks the results agree bit for bit.
+/// `ext` lists the extents outermost first.
+template <int D>
+void expect_tiled_ml_matches_untiled(const StencilSpec& spec, Isa isa,
+                                     const std::vector<int>& ext, int threads,
+                                     int tsteps) {
+  ExecOptions o;
+  o.method = Method::MultipleLoads;
+  o.isa = isa;
+  o.threads = threads;
+  o.tiling = Tiling::Off;
+  const Extents e{ext.back(), D >= 2 ? ext[D - 2] : 0, D == 3 ? ext[0] : 0};
+  const PreparedStencil untiled = Engine::instance().prepare(spec, e, o);
+  o.tiling = Tiling::On;
+  o.tile = ext.front() / 3;
+  const PreparedStencil tiled = Engine::instance().prepare(spec, e, o);
+  std::string what = spec.name + " " + isa_name(isa) + " threads " +
+                     std::to_string(threads) + " tsteps " +
+                     std::to_string(tsteps) + " extents";
+  for (int x : ext) what += " " + std::to_string(x);
+  ASSERT_TRUE(tiled.plan().tiled && tiled.plan().blocked) << what;
+  const int h = tiled.halo();
+  Field<D> a(ext, h), b(ext, h), ua(ext, h), ub(ext, h);
+  Field<1> kf({ext.back()}, h);
+  const std::uint64_t seed = 91 + static_cast<std::uint64_t>(ext.back());
+  fill_random(a.g, seed);
+  fill_random(kf.g, seed + 1);
+  copy(a.g, b.g);
+  copy(a.g, ua.g);
+  copy(a.g, ub.g);
+  if constexpr (D == 1) {
+    if (spec.has_source) {
+      tiled.run(a.g.view(), b.g.view(), kf.g.view(), tsteps);
+      untiled.run(ua.g.view(), ub.g.view(), kf.g.view(), tsteps);
+      EXPECT_EQ(bit_mismatches(a.g, ua.g), 0) << what;
+      return;
+    }
+  }
+  tiled.run(a.g.view(), b.g.view(), tsteps);
+  untiled.run(ua.g.view(), ub.g.view(), tsteps);
+  EXPECT_EQ(bit_mismatches(a.g, ua.g), 0) << what;
+}
+
+TEST(KernelsND, TiledMultipleLoadsMatchesUntiled) {
+  // Split tiling runs the same multiple-loads region step over wedge
+  // ranges, so it reproduces the untiled bits. 1-D tile edges move the
+  // split between a row's vector body and its scalar tail; APOP's source
+  // term rides in the same FMA chain in both.
+  const std::vector<std::vector<int>> shapes[] = {
+      {{203}, {1031}},
+      {{61, 64}, {64, 67}},
+      {{13, 11, 40}, {37, 16, 16}},
+  };
+  for (Isa isa : kIsas) {
+    if (!isa_runs(isa)) continue;
+    for (const StencilSpec& spec : all_presets())
+      for (const std::vector<int>& ext : shapes[spec.dims - 1])
+        for (int threads : {1, 2, 4})
+          for (int tsteps : {3, 8})
+            spec.visit([&](const auto& p) {
+              constexpr int D = std::decay_t<decltype(p)>::dims;
+              expect_tiled_ml_matches_untiled<D>(spec, isa, ext, threads,
+                                                 tsteps);
+            });
   }
 }
 
